@@ -94,17 +94,19 @@ class BinWriter {
     bytes_.append(s.data(), s.size());
   }
 
-  /// varint count + the doubles; one memcpy on little-endian hosts (the
-  /// IEEE bit pattern already lies in wire order there).
-  void PutF64Array(const std::vector<double>& values) {
-    PutVarint(values.size());
-    if (values.empty()) return;
+  /// varint count + the `count` doubles at `values` (a whole vector or
+  /// just a prefix of one -- no temporary copy either way); one memcpy on
+  /// little-endian hosts (the IEEE bit pattern already lies in wire order
+  /// there).
+  void PutF64Array(const double* values, size_t count) {
+    PutVarint(count);
+    if (count == 0) return;
     if (IsLittleEndianHost()) {
       const size_t old = bytes_.size();
-      bytes_.resize(old + values.size() * 8);
-      std::memcpy(&bytes_[old], values.data(), values.size() * 8);
+      bytes_.resize(old + count * 8);
+      std::memcpy(&bytes_[old], values, count * 8);
     } else {
-      for (double v : values) PutF64(v);
+      for (size_t i = 0; i < count; ++i) PutF64(values[i]);
     }
   }
 

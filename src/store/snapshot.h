@@ -30,13 +30,36 @@
 //              | table_crc (over all entry bytes)  u32        |
 //              +----------------------------------------------+
 //
+// SECTION PAYLOADS (section version 2; f64[] is a varint count followed
+// by the doubles, so a live prefix carries its own length):
+//   database   varint n, then n tuples { zigzag id, varint x-tuple,
+//              f64 score, f64 prob, bool is_null, string label };
+//              f64[] real masses (one per x-tuple); string tombstone
+//              bitmap (empty, or one byte per tuple); varint
+//              num_tombstones; varint num_real. No member lists.
+//   PSR output varint k, varint scan_end, varint num_nonzero,
+//              f64[scan_end] topk_prob prefix, f64[k] best_rank_prob,
+//              varint k + k zigzag best_rank_index, bool
+//              has_rank_probabilities, then (only when set)
+//              f64[scan_end * k] rank_prob row prefix.
+//   TP output  f64 quality, varint scan_end, f64[scan_end] omega prefix,
+//              f64[] xtuple_gain, f64[] xtuple_topk_mass.
+// The engine section holds one PSR output per rung (plus options,
+// ladder and checkpoints); the sessions section holds the base TP
+// ladder, then per slot the overlay outcomes and, for cleaned sessions,
+// their PSR outputs, checkpoints and TP ladder.
+//
 // VERSIONING AND COMPATIBILITY RULES:
 //  * format_version guards the CONTAINER (header/table shape). A reader
 //    rejects any version it does not implement with Status::DataLoss --
 //    never guesses.
-//  * Each section carries its own version; a reader rejects section
-//    versions above the one it implements (DataLoss), so sections evolve
-//    independently of the container.
+//  * Each section carries its own version, so sections evolve
+//    independently of the container. A reader decodes exactly the
+//    section version it implements and refuses every other one, older
+//    included (DataLoss naming the section): there is one decode path,
+//    never a migration. Section version 2 (this reader) replaced
+//    version 1's full-length vectors and stored member lists with the
+//    live-byte layout below; version-1 files are refused.
 //  * UNKNOWN SECTION IDS ARE SKIPPED (their CRC is still verified): a
 //    newer writer may append sections an older reader ignores.
 //  * UNKNOWN FEATURE FLAGS ARE FATAL (DataLoss): a flag marks a semantic
@@ -46,17 +69,38 @@
 //    mismatch), truncation at any boundary, malformed payload -- is
 //    Status::DataLoss, which the CLI maps to its own exit code.
 //
-// WHAT IS CAPTURED: the base ProbabilisticDatabase (tuples, members,
-// masses, tombstone/compaction state), the PsrEngine's logical state
-// (ladder, PSR options, outputs, checkpoint list, cadence), the base TP
-// ladder, each session slot (overlay outcomes + SessionState + TP state;
+// WHAT IS CAPTURED: the base ProbabilisticDatabase (tuples, masses,
+// tombstone/compaction state), the PsrEngine's logical state (ladder,
+// PSR options, outputs, checkpoint list, cadence), the base TP ladder,
+// each session slot (overlay outcomes + SessionState + TP state;
 // pristine sessions are re-forked on load instead of stored), the free
 // list, and optionally a CampaignSnapshot (budgets, progress, probe
-// logs, Rng + FaultInjector states). WHAT IS NOT: runtime execution
-// knobs -- thread count, shared pool, kernel choice are the LOADER's
-// (SessionPool::Options::exec), because the machine opening a snapshot
-// need not be the machine that wrote it; the writer's resolved kernel
-// and thread count are recorded in the meta section for provenance only.
+// logs, Rng + FaultInjector states).
+//
+// ONLY LIVE BYTES ARE STORED (section version 2): whatever the reader can
+// recompute exactly is left out, and the reader recomputes it.
+//  * Zero tails. By the Lemma-2 stop rule every tuple at or past a rung's
+//    scan_end has top-k probability 0 and TP weight omega 0, so
+//    PsrOutput::topk_prob, the PsrOutput::rank_prob rows and
+//    TpOutput::omega are written as their [0, scan_end) prefix, scan_end
+//    ahead of the array; the reader re-creates the +0.0 tail. The writer
+//    fails with Status::Internal rather than drop a tail entry that is
+//    not +0.0, and the reader refuses (DataLoss) a prefix whose length is
+//    not scan_end, a scan_end past the table, a num_nonzero that is not
+//    the prefix's count of positive entries, and a base TP rung whose
+//    scan_end is not its engine rung's.
+//  * Member lists. Each x-tuple's member list is its live rank indices in
+//    ascending order -- what DatabaseBuilder::Build, ApplyCleanOutcome
+//    and CompactTombstones maintain -- so the reader derives it from the
+//    tuple table and the tombstone bitmap (the writer fails with
+//    Internal if a list is anything else). Per-x-tuple real masses are
+//    stored; their count is the x-tuple count.
+//
+// WHAT IS NOT CAPTURED: runtime execution knobs -- thread count, shared
+// pool, kernel choice are the LOADER's (SessionPool::Options::exec),
+// because the machine opening a snapshot need not be the machine that
+// wrote it; the writer's resolved kernel and thread count are recorded
+// in the meta section for provenance only.
 //
 // Writers require every open session to be refreshed (not dirty):
 // a dirty session's maintained state is stale by contract, and
@@ -105,8 +149,9 @@ inline constexpr uint32_t kSectionEngine = 3;
 inline constexpr uint32_t kSectionSessions = 4;
 inline constexpr uint32_t kSectionCampaign = 5;
 
-/// Per-section versions this reader implements.
-inline constexpr uint32_t kSectionVersion = 1;
+/// The one section version this reader implements and writers write
+/// (2: live prefixes, derived member lists); any other is DataLoss.
+inline constexpr uint32_t kSectionVersion = 2;
 
 /// "meta" / "database" / ... / "unknown" for display (inspect CLI).
 const char* SectionName(uint32_t id);
@@ -237,8 +282,10 @@ struct CampaignSnapshot {
 };
 
 /// Serializes `pool` (and optionally a campaign) to `path`. Fails with
-/// FailedPrecondition when any open session is dirty, IOError when the
-/// file cannot be written.
+/// FailedPrecondition when any open session is dirty, Internal when the
+/// pool's state breaks an invariant the layout relies on (a nonzero
+/// entry past a scan end, a member list that is not the x-tuple's
+/// ascending live ranks), IOError when the file cannot be written.
 Status WriteSnapshot(const SessionPool& pool, const std::string& path,
                      const CampaignSnapshot* campaign = nullptr);
 
@@ -325,6 +372,12 @@ class SnapshotAccess {
   static std::vector<size_t> SessionCheckpointPositions(
       const SessionPool& pool, SessionPool::SessionId id);
 
+  /// The shared engine's output and the base TP of `rung`, writable, so
+  /// tests can plant a state the writer must refuse (a nonzero entry in a
+  /// zero tail) and check that Serialize fails instead of dropping it.
+  static PsrOutput* MutableEngineOutput(SessionPool* pool, size_t rung);
+  static TpOutput* MutableBaseTp(SessionPool* pool, size_t rung);
+
  private:
   // Section payload codecs (writer half in snapshot_writer.cc, reader
   // half in snapshot_reader.cc). Friendship covers naming the granting
@@ -332,12 +385,12 @@ class SnapshotAccess {
   static void EncodeMeta(const SessionPool& pool,
                          const store::CampaignSnapshot* campaign,
                          store::BinWriter* w);
-  static void EncodeDatabase(const ProbabilisticDatabase& db,
-                             store::BinWriter* w);
-  static void EncodeEngine(const PsrEngine& engine, store::BinWriter* w);
+  static Status EncodeDatabase(const ProbabilisticDatabase& db,
+                               store::BinWriter* w);
+  static Status EncodeEngine(const PsrEngine& engine, store::BinWriter* w);
   static void EncodeCheckpoint(const PsrEngine::Checkpoint& cp,
                                store::BinWriter* w);
-  static void EncodeSessions(const SessionPool& pool, store::BinWriter* w);
+  static Status EncodeSessions(const SessionPool& pool, store::BinWriter* w);
   static void EncodeCampaign(const store::CampaignSnapshot& campaign,
                              store::BinWriter* w);
 

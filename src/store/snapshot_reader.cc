@@ -140,24 +140,57 @@ const SectionEntry* SnapshotFile::Find(uint32_t id) const {
 
 namespace {
 
+/// A known section decodes only at the one version this reader
+/// implements; older and newer versions alike are refused, by name.
+Status CheckSectionVersion(const SectionEntry& entry) {
+  if (entry.version == kSectionVersion) return Status::OK();
+  return Status::DataLoss("section '" + std::string(SectionName(entry.id)) +
+                          "' version " + std::to_string(entry.version) +
+                          " is not the version " +
+                          std::to_string(kSectionVersion) +
+                          " this reader implements");
+}
+
+/// Reads a live prefix written by the writer's PutLivePrefix: exactly
+/// `live` doubles, then re-creates the zero tail out to `total`.
+Status GetLivePrefix(BinReader* r, size_t live, size_t total,
+                     const char* what, std::vector<double>* out) {
+  out->reserve(total);
+  UCLEAN_RETURN_IF_ERROR(r->GetF64Array(out));
+  if (out->size() != live) {
+    return Status::DataLoss(std::string(what) + " holds " +
+                            std::to_string(out->size()) +
+                            " live entries, scan end says " +
+                            std::to_string(live));
+  }
+  out->resize(total, 0.0);
+  return Status::OK();
+}
+
 Status DecodePsrOutput(BinReader* r, size_t num_tuples, PsrOutput* out) {
   uint64_t k = 0;
   UCLEAN_RETURN_IF_ERROR(r->GetVarint(&k));
   if (k == 0) return Status::DataLoss("PSR output with k == 0");
   out->k = static_cast<size_t>(k);
-  UCLEAN_RETURN_IF_ERROR(r->GetF64Array(&out->topk_prob));
-  if (out->topk_prob.size() != num_tuples) {
-    return Status::DataLoss("PSR top-k vector size mismatch");
-  }
-  uint64_t num_nonzero = 0;
   uint64_t scan_end = 0;
-  UCLEAN_RETURN_IF_ERROR(r->GetVarint(&num_nonzero));
+  uint64_t num_nonzero = 0;
   UCLEAN_RETURN_IF_ERROR(r->GetVarint(&scan_end));
-  if (num_nonzero > num_tuples || scan_end > num_tuples) {
+  UCLEAN_RETURN_IF_ERROR(r->GetVarint(&num_nonzero));
+  if (scan_end > num_tuples || num_nonzero > scan_end) {
     return Status::DataLoss("PSR scan bounds exceed the database");
   }
-  out->num_nonzero = static_cast<size_t>(num_nonzero);
   out->scan_end = static_cast<size_t>(scan_end);
+  out->num_nonzero = static_cast<size_t>(num_nonzero);
+  UCLEAN_RETURN_IF_ERROR(GetLivePrefix(r, out->scan_end, num_tuples,
+                                       "PSR top-k vector", &out->topk_prob));
+  size_t positive = 0;
+  for (size_t i = 0; i < out->scan_end; ++i) {
+    if (out->topk_prob[i] > 0.0) ++positive;
+  }
+  if (positive != out->num_nonzero) {
+    return Status::DataLoss("PSR nonzero count disagrees with the top-k "
+                            "vector");
+  }
   UCLEAN_RETURN_IF_ERROR(r->GetF64Array(&out->best_rank_prob));
   uint64_t index_count = 0;
   UCLEAN_RETURN_IF_ERROR(r->GetVarint(&index_count));
@@ -173,30 +206,30 @@ Status DecodePsrOutput(BinReader* r, size_t num_tuples, PsrOutput* out) {
     }
     out->best_rank_index[h] = static_cast<int32_t>(index);
   }
-  UCLEAN_RETURN_IF_ERROR(r->GetF64Array(&out->rank_prob));
   UCLEAN_RETURN_IF_ERROR(r->GetBool(&out->has_rank_probabilities));
-  const size_t expected_matrix =
-      out->has_rank_probabilities ? num_tuples * out->k : 0;
-  if (out->rank_prob.size() != expected_matrix) {
-    return Status::DataLoss("rank-probability matrix size mismatch");
-  }
-  return Status::OK();
+  out->rank_prob.clear();
+  if (!out->has_rank_probabilities) return Status::OK();
+  return GetLivePrefix(r, out->scan_end * out->k, num_tuples * out->k,
+                       "rank-probability matrix", &out->rank_prob);
 }
 
 Status DecodeTpOutput(BinReader* r, size_t num_tuples, size_t num_xtuples,
                       TpOutput* tp) {
   UCLEAN_RETURN_IF_ERROR(r->GetF64(&tp->quality));
-  UCLEAN_RETURN_IF_ERROR(r->GetF64Array(&tp->omega));
   uint64_t scan_end = 0;
   UCLEAN_RETURN_IF_ERROR(r->GetVarint(&scan_end));
+  if (scan_end > num_tuples) {
+    return Status::DataLoss("TP scan end exceeds the database");
+  }
+  tp->scan_end = static_cast<size_t>(scan_end);
+  UCLEAN_RETURN_IF_ERROR(GetLivePrefix(r, tp->scan_end, num_tuples,
+                                       "TP omega vector", &tp->omega));
   UCLEAN_RETURN_IF_ERROR(r->GetF64Array(&tp->xtuple_gain));
   UCLEAN_RETURN_IF_ERROR(r->GetF64Array(&tp->xtuple_topk_mass));
-  if (tp->omega.size() != num_tuples || scan_end > num_tuples ||
-      tp->xtuple_gain.size() != num_xtuples ||
+  if (tp->xtuple_gain.size() != num_xtuples ||
       tp->xtuple_topk_mass.size() != num_xtuples) {
     return Status::DataLoss("TP state size mismatch");
   }
-  tp->scan_end = static_cast<size_t>(scan_end);
   return Status::OK();
 }
 
@@ -336,9 +369,10 @@ Status SnapshotAccess::DecodeDatabase(store::BinReader* r,
   if (num_tuples > r->remaining()) {
     return Status::DataLoss("truncated tuple table");
   }
-  db->tuples_.resize(num_tuples);
+  db->tuples_.clear();
+  db->tuples_.reserve(num_tuples);
   for (uint64_t i = 0; i < num_tuples; ++i) {
-    Tuple& t = db->tuples_[i];
+    Tuple& t = db->tuples_.emplace_back();
     UCLEAN_RETURN_IF_ERROR(r->GetZigzag(&t.id));
     uint64_t xtuple = 0;
     UCLEAN_RETURN_IF_ERROR(r->GetVarint(&xtuple));
@@ -352,31 +386,9 @@ Status SnapshotAccess::DecodeDatabase(store::BinReader* r,
     UCLEAN_RETURN_IF_ERROR(r->GetString(&t.label));
   }
 
-  uint64_t num_xtuples = 0;
-  UCLEAN_RETURN_IF_ERROR(r->GetVarint(&num_xtuples));
-  if (num_xtuples > r->remaining()) {
-    return Status::DataLoss("truncated x-tuple table");
-  }
-  db->members_.resize(num_xtuples);
-  db->real_mass_.resize(num_xtuples);
-  for (uint64_t l = 0; l < num_xtuples; ++l) {
-    uint64_t member_count = 0;
-    UCLEAN_RETURN_IF_ERROR(r->GetVarint(&member_count));
-    if (member_count > r->remaining()) {
-      return Status::DataLoss("truncated x-tuple member list");
-    }
-    std::vector<int32_t>& members = db->members_[l];
-    members.resize(member_count);
-    for (uint64_t j = 0; j < member_count; ++j) {
-      uint64_t rank = 0;
-      UCLEAN_RETURN_IF_ERROR(r->GetVarint(&rank));
-      if (rank >= num_tuples) {
-        return Status::DataLoss("x-tuple member rank index out of range");
-      }
-      members[j] = static_cast<int32_t>(rank);
-    }
-    UCLEAN_RETURN_IF_ERROR(r->GetF64(&db->real_mass_[l]));
-  }
+  // The x-tuple count is the real-mass array's length.
+  UCLEAN_RETURN_IF_ERROR(r->GetF64Array(&db->real_mass_));
+  const size_t num_xtuples = db->real_mass_.size();
   for (const Tuple& t : db->tuples_) {
     if (static_cast<uint64_t>(t.xtuple) >= num_xtuples) {
       return Status::DataLoss("tuple references a missing x-tuple");
@@ -393,11 +405,38 @@ Status SnapshotAccess::DecodeDatabase(store::BinReader* r,
   uint64_t num_real = 0;
   UCLEAN_RETURN_IF_ERROR(r->GetVarint(&num_tombstones));
   UCLEAN_RETURN_IF_ERROR(r->GetVarint(&num_real));
-  if (num_tombstones > num_tuples || num_real > num_tuples) {
-    return Status::DataLoss("database tuple counters exceed the table");
-  }
   db->num_tombstones_ = static_cast<size_t>(num_tombstones);
   db->num_real_ = static_cast<size_t>(num_real);
+
+  // Member lists are derived, not stored: each x-tuple's live rank
+  // indices in ascending order -- what DatabaseBuilder::Build,
+  // ApplyCleanOutcome and CompactTombstones maintain. A counting pass
+  // sizes every list once.
+  std::vector<size_t> counts(num_xtuples, 0);
+  size_t live = 0;
+  size_t live_real = 0;
+  for (size_t i = 0; i < num_tuples; ++i) {
+    if (db->is_tombstone(i)) continue;
+    ++counts[db->tuples_[i].xtuple];
+    ++live;
+    if (!db->tuples_[i].is_null) ++live_real;
+  }
+  if (live + db->num_tombstones_ != num_tuples || live_real != db->num_real_) {
+    return Status::DataLoss("database tuple counters disagree with the "
+                            "tombstone bitmap");
+  }
+  db->members_.assign(num_xtuples, {});
+  for (size_t l = 0; l < num_xtuples; ++l) {
+    if (counts[l] == 0) {
+      return Status::DataLoss("x-tuple " + std::to_string(l) +
+                              " has no live member");
+    }
+    db->members_[l].reserve(counts[l]);
+  }
+  for (size_t i = 0; i < num_tuples; ++i) {
+    if (db->is_tombstone(i)) continue;
+    db->members_[db->tuples_[i].xtuple].push_back(static_cast<int32_t>(i));
+  }
   return Status::OK();
 }
 
@@ -533,6 +572,10 @@ Status SnapshotAccess::DecodeSessions(store::BinReader* r,
   for (size_t j = 0; j < num_rungs; ++j) {
     UCLEAN_RETURN_IF_ERROR(store::DecodeTpOutput(r, num_tuples, num_xtuples,
                                                  &pool->base_tps_[j]));
+    if (pool->base_tps_[j].scan_end != pool->engine_.outputs_[j].scan_end) {
+      return Status::DataLoss("base TP scan end disagrees with the engine "
+                              "rung");
+    }
   }
 
   uint64_t slot_count = 0;
@@ -714,12 +757,7 @@ Result<store::LoadedSnapshot> SnapshotAccess::Deserialize(
                               std::string(store::SectionName(id)) +
                               "' section");
     }
-    if (entry->version > store::kSectionVersion) {
-      return Status::DataLoss(
-          "section '" + std::string(store::SectionName(id)) + "' version " +
-          std::to_string(entry->version) +
-          " is newer than this reader supports");
-    }
+    UCLEAN_RETURN_IF_ERROR(store::CheckSectionVersion(*entry));
   }
 
   store::SnapshotMeta meta;
@@ -769,9 +807,7 @@ Result<store::LoadedSnapshot> SnapshotAccess::Deserialize(
       return Status::DataLoss(
           "campaign feature flag set but no campaign section present");
     }
-    if (entry->version > store::kSectionVersion) {
-      return Status::DataLoss("campaign section is newer than this reader");
-    }
+    UCLEAN_RETURN_IF_ERROR(store::CheckSectionVersion(*entry));
     store::BinReader r(file->payload(*entry));
     UCLEAN_RETURN_IF_ERROR(DecodeCampaign(&r, &loaded.campaign));
     UCLEAN_RETURN_IF_ERROR(r.ExpectEnd("campaign section"));

@@ -4,6 +4,7 @@
 // snapshot_reader.cc and must only ever change together with a section
 // version bump.
 
+#include <cmath>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -108,24 +109,57 @@ std::string SnapshotFileBuilder::Finish() const {
 
 namespace {
 
-void EncodePsrOutput(const PsrOutput& out, BinWriter* w) {
-  w->PutVarint(out.k);
-  w->PutF64Array(out.topk_prob);
-  w->PutVarint(out.num_nonzero);
-  w->PutVarint(out.scan_end);
-  w->PutF64Array(out.best_rank_prob);
-  w->PutVarint(out.best_rank_index.size());
-  for (int32_t index : out.best_rank_index) w->PutZigzag(index);
-  w->PutF64Array(out.rank_prob);
-  w->PutBool(out.has_rank_probabilities);
+/// Writes `values[0, live)` as a double array; the reader re-creates the
+/// zero tail. Every entry at or past `live` must be +0.0 bit for bit
+/// (Lemma 2: nothing past a rung's scan end carries probability or
+/// weight) -- anything else would be dropped silently, so it is Internal.
+Status PutLivePrefix(const std::vector<double>& values, size_t live,
+                     const char* what, BinWriter* w) {
+  if (live > values.size()) {
+    return Status::Internal(std::string(what) + ": scan end " +
+                            std::to_string(live) + " past the array (" +
+                            std::to_string(values.size()) + ")");
+  }
+  for (size_t i = live; i < values.size(); ++i) {
+    if (values[i] != 0.0 || std::signbit(values[i])) {
+      return Status::Internal(std::string(what) + ": nonzero entry at " +
+                              std::to_string(i) + " past scan end " +
+                              std::to_string(live));
+    }
+  }
+  w->PutF64Array(values.data(), live);
+  return Status::OK();
 }
 
-void EncodeTpOutput(const TpOutput& tp, BinWriter* w) {
+Status EncodePsrOutput(const PsrOutput& out, BinWriter* w) {
+  w->PutVarint(out.k);
+  w->PutVarint(out.scan_end);
+  w->PutVarint(out.num_nonzero);
+  UCLEAN_RETURN_IF_ERROR(
+      PutLivePrefix(out.topk_prob, out.scan_end, "PSR top-k vector", w));
+  w->PutF64Array(out.best_rank_prob.data(), out.best_rank_prob.size());
+  w->PutVarint(out.best_rank_index.size());
+  for (int32_t index : out.best_rank_index) w->PutZigzag(index);
+  w->PutBool(out.has_rank_probabilities);
+  if (!out.has_rank_probabilities) {
+    if (!out.rank_prob.empty()) {
+      return Status::Internal(
+          "rank-probability matrix present but not flagged as stored");
+    }
+    return Status::OK();
+  }
+  return PutLivePrefix(out.rank_prob, out.scan_end * out.k,
+                       "rank-probability matrix", w);
+}
+
+Status EncodeTpOutput(const TpOutput& tp, BinWriter* w) {
   w->PutF64(tp.quality);
-  w->PutF64Array(tp.omega);
   w->PutVarint(tp.scan_end);
-  w->PutF64Array(tp.xtuple_gain);
-  w->PutF64Array(tp.xtuple_topk_mass);
+  UCLEAN_RETURN_IF_ERROR(
+      PutLivePrefix(tp.omega, tp.scan_end, "TP omega vector", w));
+  w->PutF64Array(tp.xtuple_gain.data(), tp.xtuple_gain.size());
+  w->PutF64Array(tp.xtuple_topk_mass.data(), tp.xtuple_topk_mass.size());
+  return Status::OK();
 }
 
 void EncodeProbeRecord(const ProbeRecord& record, BinWriter* w) {
@@ -207,8 +241,8 @@ void SnapshotAccess::EncodeMeta(const SessionPool& pool,
   w->PutVarintArray(pool.ladder().ks);
 }
 
-void SnapshotAccess::EncodeDatabase(const ProbabilisticDatabase& db,
-                                    store::BinWriter* w) {
+Status SnapshotAccess::EncodeDatabase(const ProbabilisticDatabase& db,
+                                      store::BinWriter* w) {
   w->PutVarint(db.tuples_.size());
   for (const Tuple& t : db.tuples_) {
     w->PutZigzag(t.id);
@@ -218,25 +252,41 @@ void SnapshotAccess::EncodeDatabase(const ProbabilisticDatabase& db,
     w->PutBool(t.is_null);
     w->PutString(t.label);
   }
-  w->PutVarint(db.members_.size());
+  // Member lists are not stored: the reader derives them from the tuple
+  // table and the tombstone bitmap. Prove the derivation is exact -- each
+  // list ascending, live and owned, and together covering every live
+  // tuple once -- rather than ship a file that reloads differently.
+  size_t listed = 0;
   for (size_t l = 0; l < db.members_.size(); ++l) {
-    const std::vector<int32_t>& members = db.members_[l];
-    w->PutVarint(members.size());
-    for (int32_t rank : members) w->PutVarint(static_cast<uint64_t>(rank));
-    w->PutF64(db.real_mass_[l]);
+    int32_t prev = -1;
+    for (int32_t rank : db.members_[l]) {
+      if (rank <= prev || db.is_tombstone(static_cast<size_t>(rank)) ||
+          db.tuples_[rank].xtuple != static_cast<XTupleId>(l)) {
+        return Status::Internal("x-tuple " + std::to_string(l) +
+                                " member list is not its ascending live "
+                                "ranks");
+      }
+      prev = rank;
+    }
+    listed += db.members_[l].size();
   }
+  if (listed != db.tuples_.size() - db.num_tombstones_) {
+    return Status::Internal("x-tuple member lists miss live tuples");
+  }
+  w->PutF64Array(db.real_mass_.data(), db.real_mass_.size());
   w->PutString(std::string_view(
       reinterpret_cast<const char*>(db.tombstones_.data()),
       db.tombstones_.size()));
   w->PutVarint(db.num_tombstones_);
   w->PutVarint(db.num_real_);
+  return Status::OK();
 }
 
 void SnapshotAccess::EncodeCheckpoint(const PsrEngine::Checkpoint& cp,
                                       store::BinWriter* w) {
   w->PutVarint(cp.pos);
   w->PutVarint(cp.live);
-  w->PutF64Array(cp.c);
+  w->PutF64Array(cp.c.data(), cp.c.size());
   w->PutVarint(cp.active);
   w->PutVarint(cp.saturated);
   w->PutVarint(cp.xs.size());
@@ -247,27 +297,28 @@ void SnapshotAccess::EncodeCheckpoint(const PsrEngine::Checkpoint& cp,
   }
 }
 
-void SnapshotAccess::EncodeEngine(const PsrEngine& engine,
-                                  store::BinWriter* w) {
+Status SnapshotAccess::EncodeEngine(const PsrEngine& engine,
+                                    store::BinWriter* w) {
   w->PutBool(engine.options_.early_termination);
   w->PutBool(engine.options_.store_rank_probabilities);
   w->PutVarintArray(engine.ladder_.ks);
   w->PutVarint(engine.outputs_.size());
   for (const PsrOutput& out : engine.outputs_) {
-    store::EncodePsrOutput(out, w);
+    UCLEAN_RETURN_IF_ERROR(store::EncodePsrOutput(out, w));
   }
   w->PutVarint(engine.checkpoints_.size());
   for (const PsrEngine::Checkpoint& cp : engine.checkpoints_) {
     EncodeCheckpoint(cp, w);
   }
   w->PutVarint(engine.checkpoint_interval_);
+  return Status::OK();
 }
 
-void SnapshotAccess::EncodeSessions(const SessionPool& pool,
-                                    store::BinWriter* w) {
+Status SnapshotAccess::EncodeSessions(const SessionPool& pool,
+                                      store::BinWriter* w) {
   w->PutVarint(pool.base_tps_.size());
   for (const TpOutput& tp : pool.base_tps_) {
-    store::EncodeTpOutput(tp, w);
+    UCLEAN_RETURN_IF_ERROR(store::EncodeTpOutput(tp, w));
   }
   w->PutVarint(pool.sessions_.size());
   for (const SessionPool::Session& session : pool.sessions_) {
@@ -288,7 +339,7 @@ void SnapshotAccess::EncodeSessions(const SessionPool& pool,
     const PsrEngine::SessionState& scan = session.scan;
     w->PutVarint(scan.outputs_.size());
     for (const PsrOutput& out : scan.outputs_) {
-      store::EncodePsrOutput(out, w);
+      UCLEAN_RETURN_IF_ERROR(store::EncodePsrOutput(out, w));
     }
     w->PutVarint(scan.checkpoints_.size());
     for (const PsrEngine::Checkpoint& cp : scan.checkpoints_) {
@@ -297,11 +348,12 @@ void SnapshotAccess::EncodeSessions(const SessionPool& pool,
     w->PutVarint(scan.checkpoint_interval_);
     w->PutVarint(session.tps.size());
     for (const TpOutput& tp : session.tps) {
-      store::EncodeTpOutput(tp, w);
+      UCLEAN_RETURN_IF_ERROR(store::EncodeTpOutput(tp, w));
     }
   }
   w->PutVarintArray(pool.free_slots_);
   w->PutVarint(pool.num_open_);
+  return Status::OK();
 }
 
 void SnapshotAccess::EncodeCampaign(const store::CampaignSnapshot& campaign,
@@ -351,19 +403,19 @@ Status SnapshotAccess::Serialize(const SessionPool& pool,
   }
   {
     store::BinWriter w;
-    EncodeDatabase(pool.base(), &w);
+    UCLEAN_RETURN_IF_ERROR(EncodeDatabase(pool.base(), &w));
     builder.AddSection(store::kSectionDatabase, store::kSectionVersion,
                        w.Take());
   }
   {
     store::BinWriter w;
-    EncodeEngine(pool.engine_, &w);
+    UCLEAN_RETURN_IF_ERROR(EncodeEngine(pool.engine_, &w));
     builder.AddSection(store::kSectionEngine, store::kSectionVersion,
                        w.Take());
   }
   {
     store::BinWriter w;
-    EncodeSessions(pool, &w);
+    UCLEAN_RETURN_IF_ERROR(EncodeSessions(pool, &w));
     builder.AddSection(store::kSectionSessions, store::kSectionVersion,
                        w.Take());
   }
@@ -391,6 +443,15 @@ std::vector<size_t> SnapshotAccess::SessionCheckpointPositions(
     positions.push_back(cp.pos);
   }
   return positions;
+}
+
+PsrOutput* SnapshotAccess::MutableEngineOutput(SessionPool* pool,
+                                               size_t rung) {
+  return &pool->engine_.outputs_[rung];
+}
+
+TpOutput* SnapshotAccess::MutableBaseTp(SessionPool* pool, size_t rung) {
+  return &pool->base_tps_[rung];
 }
 
 }  // namespace uclean

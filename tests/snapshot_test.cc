@@ -7,9 +7,17 @@
 //    (the strongest round-trip statement: load == built, byte for byte);
 //  * post-load serving behaves identically: the same cleans produce the
 //    same refreshed state on the original and the reloaded pool;
+//  * only live bytes are stored (section version 2): zero tails past
+//    each scan end are re-created on load, including after a clean that
+//    moved a session's scan end backward, and the writer refuses
+//    (Status::Internal) a nonzero entry it would otherwise drop;
 //  * every corruption mode -- a bit flip inside each section, truncation
-//    at every section boundary, unknown feature flags, future section
-//    versions, missing sections -- fails with Status::DataLoss;
+//    at every section boundary, unknown feature flags, future and
+//    version-1 sections, missing sections, and checksum-valid payloads
+//    whose fields disagree (a live prefix longer or shorter than its scan
+//    end, a scan end past the table, a wrong nonzero count, a base TP
+//    scan end that is not its engine rung's) -- fails with
+//    Status::DataLoss;
 //  * a mid-campaign save (adaptive cleaning with faults, serial AND
 //    pipelined) resumes in a fresh pool and finishes with qualities,
 //    spend, probe logs, fault counters, Rng engines and FaultInjector
@@ -20,6 +28,7 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -30,6 +39,7 @@
 #include "common/status.h"
 #include "model/database.h"
 #include "rank/psr.h"
+#include "store/binstream.h"
 #include "store/snapshot.h"
 #include "workload/cleaning_profile_gen.h"
 #include "workload/synthetic.h"
@@ -45,11 +55,11 @@ KLadder MakeLadder(std::vector<size_t> ks) {
   return std::move(ladder).value();
 }
 
-ProbabilisticDatabase MakeDb(size_t xtuples = 400) {
+ProbabilisticDatabase MakeDb(size_t xtuples = 400, double mass_min = 0.7) {
   SyntheticOptions opts;
   opts.num_xtuples = xtuples;
   opts.tuples_per_xtuple = 4;
-  opts.real_mass_min = 0.7;  // sub-unit masses: null outcomes occur too
+  opts.real_mass_min = mass_min;  // below 1: null outcomes occur too
   opts.real_mass_max = 1.0;
   opts.seed = 20260806;
   Result<ProbabilisticDatabase> db = GenerateSynthetic(opts);
@@ -127,6 +137,22 @@ TestPool MakeServingPool(const ProbabilisticDatabase& db,
   UCLEAN_CHECK(
       tp.pool.ApplyCleanOutcome(tp.ids[0], 11, FirstMemberId(db, 11)).ok());
   UCLEAN_CHECK(tp.pool.ApplyCleanOutcome(tp.ids[1], 7, -1).ok());  // null
+  UCLEAN_CHECK(tp.pool.RefreshAll().ok());
+  return tp;
+}
+
+/// A pool over a unit-mass database (no null alternatives, so the
+/// Lemma-2 stop leaves a zero tail past every scan end): one cleaned
+/// session, one pristine.
+TestPool MakeUnitMassPool(const ProbabilisticDatabase& db,
+                          const KLadder& ladder) {
+  Result<SessionPool> pool =
+      SessionPool::Create(ProbabilisticDatabase(db), ladder);
+  UCLEAN_CHECK(pool.ok());
+  TestPool tp{std::move(pool).value(), {}};
+  for (size_t s = 0; s < 2; ++s) tp.ids.push_back(tp.pool.OpenSession());
+  UCLEAN_CHECK(
+      tp.pool.ApplyCleanOutcome(tp.ids[0], 3, FirstMemberId(db, 3)).ok());
   UCLEAN_CHECK(tp.pool.RefreshAll().ok());
   return tp;
 }
@@ -244,6 +270,106 @@ TEST(SnapshotRoundTripTest, SurvivesClosedSlotsAndThreadedWriter) {
   EXPECT_EQ(SerializedPool(*loaded), SerializedPool(built.pool));
 }
 
+TEST(SnapshotRoundTripTest, CleanThatShrankScanEndRoundTrips) {
+  // Unit masses: saturation drives the Lemma-2 stop, so a clean that
+  // makes a top-ranked alternative certain saturates its x-tuple sooner
+  // and moves the session's scan end BACKWARD. The entries between the
+  // new and the old end are the ones the live-prefix layout must not
+  // resurrect on load.
+  const ProbabilisticDatabase db = MakeDb(400, /*mass_min=*/1.0);
+  const KLadder ladder = MakeLadder({5, 20});
+  Result<SessionPool> created =
+      SessionPool::Create(ProbabilisticDatabase(db), ladder);
+  ASSERT_TRUE(created.ok()) << created.status().message();
+  SessionPool& pool = *created;
+  std::vector<SessionPool::SessionId> ids;
+  bool shrunk = false;
+  for (size_t i = 0; i < db.num_tuples() && !shrunk; ++i) {
+    const Tuple& t = db.tuple(i);
+    if (db.xtuple_members(t.xtuple).size() < 2) continue;
+    const SessionPool::SessionId id = pool.OpenSession();
+    ids.push_back(id);
+    ASSERT_TRUE(pool.ApplyCleanOutcome(id, t.xtuple, t.id).ok());
+    ASSERT_TRUE(pool.dirty(id));
+    ASSERT_TRUE(pool.RefreshAll().ok());
+    for (size_t rung = 0; rung < pool.num_rungs(); ++rung) {
+      shrunk |= pool.psr(id, rung).scan_end < pool.base_psr(rung).scan_end;
+    }
+  }
+  ASSERT_TRUE(shrunk) << "no clean shrank a scan end; the scenario was not "
+                         "exercised";
+
+  const std::string bytes = SerializedPool(pool);
+  Result<store::LoadedSnapshot> loaded =
+      SnapshotAccess::Deserialize(bytes, SessionPool::Options());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  for (SessionPool::SessionId id : ids) {
+    for (size_t rung = 0; rung < pool.num_rungs(); ++rung) {
+      ExpectPsrEq(loaded->pool.psr(id, rung), pool.psr(id, rung));
+      EXPECT_EQ(loaded->pool.tp(id, rung).omega, pool.tp(id, rung).omega);
+      EXPECT_EQ(loaded->pool.quality(id, rung), pool.quality(id, rung));
+    }
+  }
+  EXPECT_EQ(SerializedPool(loaded->pool), bytes);
+}
+
+TEST(SnapshotWriteTest, NonzeroEntryPastScanEndIsInternal) {
+  const ProbabilisticDatabase db = MakeDb(120, /*mass_min=*/1.0);
+  TestPool built = MakeUnitMassPool(db, MakeLadder({5}));
+  std::string bytes;
+  ASSERT_TRUE(SnapshotAccess::Serialize(built.pool, nullptr, &bytes).ok());
+  const size_t end = built.pool.base_psr().scan_end;
+  ASSERT_LT(end, db.num_tuples());  // there is a zero tail to corrupt
+  ASSERT_EQ(built.pool.base_tp().scan_end, end);
+
+  // Anything but +0.0 past the scan end would be dropped: -0.0 too.
+  for (double planted : {1e-300, -0.0}) {
+    PsrOutput* psr = SnapshotAccess::MutableEngineOutput(&built.pool, 0);
+    psr->topk_prob[end] = planted;
+    EXPECT_EQ(SnapshotAccess::Serialize(built.pool, nullptr, &bytes).code(),
+              StatusCode::kInternal)
+        << planted;
+    EXPECT_EQ(store::WriteSnapshot(built.pool, TempPath("tail.snap")).code(),
+              StatusCode::kInternal);
+    psr->topk_prob[end] = 0.0;
+
+    TpOutput* tp = SnapshotAccess::MutableBaseTp(&built.pool, 0);
+    tp->omega.back() = planted;
+    EXPECT_EQ(SnapshotAccess::Serialize(built.pool, nullptr, &bytes).code(),
+              StatusCode::kInternal)
+        << planted;
+    tp->omega.back() = 0.0;
+  }
+  EXPECT_TRUE(SnapshotAccess::Serialize(built.pool, nullptr, &bytes).ok());
+}
+
+TEST(SnapshotRoundTripTest, RankProbabilityRowsRoundTripAsLivePrefix) {
+  // Pools scan without the rank-probability matrix, so plant one on the
+  // engine's rung: rows [0, scan_end) carry values, the rest stay zero,
+  // and only the live rows may reach the file.
+  const ProbabilisticDatabase db = MakeDb(120, /*mass_min=*/1.0);
+  TestPool built = MakeUnitMassPool(db, MakeLadder({5}));
+  PsrOutput* psr = SnapshotAccess::MutableEngineOutput(&built.pool, 0);
+  const size_t k = psr->k;
+  ASSERT_LT(psr->scan_end, db.num_tuples());
+  psr->has_rank_probabilities = true;
+  psr->rank_prob.assign(db.num_tuples() * k, 0.0);
+  for (size_t i = 0; i < psr->scan_end * k; ++i) {
+    psr->rank_prob[i] = 1.0 / static_cast<double>(i + 2);
+  }
+  const std::string bytes = SerializedPool(built.pool);
+  Result<store::LoadedSnapshot> loaded =
+      SnapshotAccess::Deserialize(bytes, SessionPool::Options());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  ExpectPsrEq(loaded->pool.base_psr(0), *psr);
+  EXPECT_EQ(SerializedPool(loaded->pool), bytes);
+
+  psr->rank_prob[psr->scan_end * k] = 0.5;  // first entry of the tail
+  std::string refused;
+  EXPECT_EQ(SnapshotAccess::Serialize(built.pool, nullptr, &refused).code(),
+            StatusCode::kInternal);
+}
+
 TEST(SnapshotWriteTest, DirtySessionIsRejected) {
   const ProbabilisticDatabase db = MakeDb(120);
   TestPool built = MakeServingPool(db, MakeLadder({5}));
@@ -343,24 +469,181 @@ TEST(SnapshotCorruptionTest, UnknownFeatureFlagIsDataLoss) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
 }
 
-TEST(SnapshotCorruptionTest, FutureSectionVersionIsDataLoss) {
+TEST(SnapshotCorruptionTest, OtherSectionVersionIsDataLossNamingIt) {
+  // A future version, and version 1 -- which stored full-length vectors
+  // and member lists. This reader keeps one decode path, so any version
+  // but its own is refused by section name, even when the bytes happen
+  // to parse, never reinterpreted.
   TestPool built = MakeServingPool(MakeDb(120), MakeLadder({5}));
   const std::string good = SerializedPool(built.pool);
   Result<store::SnapshotFile> file = store::SnapshotFile::Parse(good);
   ASSERT_TRUE(file.ok());
-  for (const store::SectionEntry& bump : file->sections()) {
-    store::SnapshotFileBuilder builder;
-    for (const store::SectionEntry& entry : file->sections()) {
-      const uint32_t version = entry.id == bump.id
-                                   ? store::kSectionVersion + 1
-                                   : entry.version;
-      builder.AddSection(entry.id, version,
-                         std::string(file->payload(entry)));
+  for (const uint32_t version : {store::kSectionVersion + 1, uint32_t{1}}) {
+    for (const store::SectionEntry& bump : file->sections()) {
+      ASSERT_EQ(bump.version, store::kSectionVersion);
+      store::SnapshotFileBuilder builder;
+      for (const store::SectionEntry& entry : file->sections()) {
+        builder.AddSection(entry.id,
+                           entry.id == bump.id ? version : entry.version,
+                           std::string(file->payload(entry)));
+      }
+      Result<store::LoadedSnapshot> loaded = SnapshotAccess::Deserialize(
+          builder.Finish(), SessionPool::Options());
+      const std::string name = store::SectionName(bump.id);
+      EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+          << name << " v" << version;
+      EXPECT_NE(loaded.status().message().find("'" + name + "'"),
+                std::string::npos)
+          << loaded.status().message();
     }
-    Result<store::LoadedSnapshot> loaded =
-        SnapshotAccess::Deserialize(builder.Finish(), SessionPool::Options());
-    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
-        << store::SectionName(bump.id);
+  }
+}
+
+/// A section payload split around one live prefix: `head` (untouched
+/// bytes before the prefix's scan end), the scan end, the nonzero count
+/// (PSR outputs only), the prefix itself, and `rest` (untouched bytes
+/// after it). Tests rewrite the middle fields and re-encode, which keeps
+/// every CRC valid and puts exactly one inconsistency in the file.
+struct SplitPrefix {
+  std::string head;
+  uint64_t scan_end = 0;
+  bool has_nonzero = false;
+  uint64_t num_nonzero = 0;
+  std::vector<double> prefix;
+  std::string rest;
+
+  std::string Encode() const {
+    store::BinWriter w;
+    w.PutVarint(scan_end);
+    if (has_nonzero) w.PutVarint(num_nonzero);
+    w.PutF64Array(prefix.data(), prefix.size());
+    return head + w.Take() + rest;
+  }
+};
+
+/// Reads the prefix fields at `r`'s position of `payload` (see SplitPrefix).
+SplitPrefix SplitAt(std::string_view payload, store::BinReader* r,
+                    bool has_nonzero) {
+  SplitPrefix split;
+  split.head = std::string(payload.substr(0, r->offset()));
+  split.has_nonzero = has_nonzero;
+  UCLEAN_CHECK(r->GetVarint(&split.scan_end).ok());
+  if (has_nonzero) UCLEAN_CHECK(r->GetVarint(&split.num_nonzero).ok());
+  UCLEAN_CHECK(r->GetF64Array(&split.prefix).ok());
+  split.rest = std::string(payload.substr(r->offset()));
+  return split;
+}
+
+/// The engine section's first rung, split around its top-k prefix.
+SplitPrefix SplitFirstEngineRung(std::string_view payload) {
+  // Skips the two option flags, the ladder, the rung count and the
+  // first rung's k.
+  store::BinReader r(payload);
+  bool flag = false;
+  std::vector<size_t> ks;
+  uint64_t value = 0;
+  UCLEAN_CHECK(r.GetBool(&flag).ok());
+  UCLEAN_CHECK(r.GetBool(&flag).ok());
+  UCLEAN_CHECK(r.GetVarintArray(&ks).ok());
+  UCLEAN_CHECK(r.GetVarint(&value).ok());
+  UCLEAN_CHECK(r.GetVarint(&value).ok());
+  return SplitAt(payload, &r, /*has_nonzero=*/true);
+}
+
+/// The sessions section's first base TP rung, split around its omegas.
+SplitPrefix SplitFirstBaseTp(std::string_view payload) {
+  // Skips the base TP count and the first rung's quality.
+  store::BinReader r(payload);
+  uint64_t count = 0;
+  double quality = 0.0;
+  UCLEAN_CHECK(r.GetVarint(&count).ok());
+  UCLEAN_CHECK(r.GetF64(&quality).ok());
+  return SplitAt(payload, &r, /*has_nonzero=*/false);
+}
+
+/// `good` with section `id`'s payload replaced (all CRCs recomputed).
+std::string ReplaceSection(const std::string& good, uint32_t id,
+                           const std::string& payload) {
+  Result<store::SnapshotFile> file = store::SnapshotFile::Parse(good);
+  UCLEAN_CHECK(file.ok());
+  store::SnapshotFileBuilder builder;
+  builder.set_feature_flags(file->feature_flags());
+  for (const store::SectionEntry& entry : file->sections()) {
+    builder.AddSection(entry.id, entry.version,
+                       entry.id == id ? payload
+                                      : std::string(file->payload(entry)));
+  }
+  return builder.Finish();
+}
+
+TEST(SnapshotCorruptionTest, LivePrefixDisagreeingWithItsFieldsIsDataLoss) {
+  const ProbabilisticDatabase db = MakeDb(120, /*mass_min=*/1.0);
+  TestPool built = MakeUnitMassPool(db, MakeLadder({5}));
+  const std::string good = SerializedPool(built.pool);
+  Result<store::SnapshotFile> file = store::SnapshotFile::Parse(good);
+  ASSERT_TRUE(file.ok());
+  const SplitPrefix rung = SplitFirstEngineRung(
+      file->payload(*file->Find(store::kSectionEngine)));
+  ASSERT_EQ(rung.prefix.size(), rung.scan_end);
+  ASSERT_LT(rung.scan_end, db.num_tuples());
+  ASSERT_GT(rung.num_nonzero, 0u);
+  // The split re-encodes faithfully: unchanged fields load.
+  ASSERT_TRUE(SnapshotAccess::Deserialize(
+                  ReplaceSection(good, store::kSectionEngine, rung.Encode()),
+                  SessionPool::Options())
+                  .ok());
+
+  std::vector<std::pair<const char*, SplitPrefix>> cases;
+  cases.emplace_back("prefix longer than scan end", rung);
+  cases.back().second.prefix.push_back(0.0);
+  cases.emplace_back("prefix shorter than scan end", rung);
+  cases.back().second.prefix.pop_back();
+  cases.emplace_back("scan end past the table", rung);
+  cases.back().second.scan_end = db.num_tuples() + 1;
+  cases.back().second.prefix.resize(db.num_tuples() + 1, 0.0);
+  cases.emplace_back("nonzero count past scan end", rung);
+  cases.back().second.num_nonzero = rung.scan_end + 1;
+  cases.emplace_back("nonzero count off the prefix", rung);
+  cases.back().second.num_nonzero = rung.num_nonzero - 1;
+  for (const auto& [label, bad] : cases) {
+    Result<store::LoadedSnapshot> loaded = SnapshotAccess::Deserialize(
+        ReplaceSection(good, store::kSectionEngine, bad.Encode()),
+        SessionPool::Options());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << label;
+  }
+}
+
+TEST(SnapshotCorruptionTest, BaseTpScanEndOffItsEngineRungIsDataLoss) {
+  const ProbabilisticDatabase db = MakeDb(120, /*mass_min=*/1.0);
+  TestPool built = MakeUnitMassPool(db, MakeLadder({5}));
+  const std::string good = SerializedPool(built.pool);
+  Result<store::SnapshotFile> file = store::SnapshotFile::Parse(good);
+  ASSERT_TRUE(file.ok());
+  const SplitPrefix tp = SplitFirstBaseTp(
+      file->payload(*file->Find(store::kSectionSessions)));
+  ASSERT_EQ(tp.prefix.size(), tp.scan_end);
+  ASSERT_LT(tp.scan_end, db.num_tuples());
+  ASSERT_GT(tp.scan_end, 0u);
+  ASSERT_TRUE(SnapshotAccess::Deserialize(
+                  ReplaceSection(good, store::kSectionSessions, tp.Encode()),
+                  SessionPool::Options())
+                  .ok());
+
+  // Each TP on its own is well formed (prefix length == its scan end);
+  // only the cross-section check can see it is not the engine's.
+  SplitPrefix shallower = tp;
+  --shallower.scan_end;
+  shallower.prefix.pop_back();
+  SplitPrefix deeper = tp;
+  ++deeper.scan_end;
+  deeper.prefix.push_back(0.0);
+  for (const SplitPrefix& bad : {shallower, deeper}) {
+    Result<store::LoadedSnapshot> loaded = SnapshotAccess::Deserialize(
+        ReplaceSection(good, store::kSectionSessions, bad.Encode()),
+        SessionPool::Options());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << bad.scan_end;
+    EXPECT_NE(loaded.status().message().find("engine"), std::string::npos)
+        << loaded.status().message();
   }
 }
 

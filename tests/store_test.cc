@@ -7,7 +7,8 @@
 //    independent by construction, not by luck;
 //  * every malformed input (truncation, overlong varints, out-of-range
 //    bool bytes, trailing bytes) fails with Status::DataLoss;
-//  * CRC32 matches the IEEE reference vector and chains like zlib;
+//  * CRC32 matches the IEEE reference vector and a bit-at-a-time CRC at
+//    every length 0-300 and start offset 0-15, and chains like zlib;
 //  * the section-table arithmetic survives >4 GiB offsets (u64
 //    round-trip on synthetic entries -- no file that size is built);
 //  * SnapshotFileBuilder/SnapshotFile round-trip whole containers,
@@ -16,8 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -193,8 +196,8 @@ TEST(BinStreamTest, StringRoundTripAndTruncation) {
 TEST(BinStreamTest, F64ArrayRoundTripAndCountGuard) {
   std::vector<double> values = {0.0, -1.5, 3.25e300, -0.0, 1e-300};
   BinWriter w;
-  w.PutF64Array(values);
-  w.PutF64Array({});
+  w.PutF64Array(values.data(), values.size());
+  w.PutF64Array(nullptr, 0);
   BinReader r(w.bytes());
   std::vector<double> got;
   ASSERT_TRUE(r.GetF64Array(&got).ok());
@@ -248,6 +251,48 @@ TEST(Crc32Test, UpdateChainsLikeOneShot) {
     uint32_t crc = Crc32Update(0, data.data(), split);
     crc = Crc32Update(crc, data.data() + split, data.size() - split);
     EXPECT_EQ(crc, whole) << split;
+  }
+}
+
+/// Bit-at-a-time CRC32 straight from the polynomial: the reference the
+/// sliced implementation must match.
+uint32_t ReferenceCrc32(const unsigned char* data, size_t size) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0-300 cover the sliced main loop, its tail loop and every
+  // mix of the two; offsets 0-15 put the slice boundary at every
+  // alignment of the buffer.
+  std::mt19937_64 gen(20261017);
+  std::vector<unsigned char> buffer(16 + 300);
+  for (unsigned char& byte : buffer) byte = static_cast<unsigned char>(gen());
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t size = 0; size <= 300; ++size) {
+      const unsigned char* data = buffer.data() + offset;
+      const uint32_t expected = ReferenceCrc32(data, size);
+      ASSERT_EQ(Crc32(data, size), expected)
+          << "offset " << offset << " size " << size;
+      // Chunked at a seeded split point, then in uneven 1-17 byte steps:
+      // the running CRC chains like the one-shot pass.
+      const size_t split = size == 0 ? 0 : gen() % (size + 1);
+      uint32_t crc = Crc32Update(0, data, split);
+      ASSERT_EQ(Crc32Update(crc, data + split, size - split), expected)
+          << "offset " << offset << " size " << size << " split " << split;
+      crc = 0;
+      size_t step = 1;
+      for (size_t at = 0; at < size; at += step, step = step % 17 + 1) {
+        crc = Crc32Update(crc, data + at, std::min(step, size - at));
+      }
+      ASSERT_EQ(crc, expected) << "offset " << offset << " size " << size;
+    }
   }
 }
 
