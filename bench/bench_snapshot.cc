@@ -13,14 +13,15 @@
 //
 // The workload uses sub-unit existence masses so the scan has no early
 // saturation exit (the full O(m * n) regime -- the honest cold cost a
-// serving tier pays at boot), and pristine sessions, which the store
-// re-forks on load instead of persisting -- the snapshot cost scales
-// with STATE, not with session count.
+// serving tier pays at boot), and pristine sessions, which own no state
+// until their first outcome and are neither persisted nor forked -- the
+// snapshot cost scales with STATE, not with session count.
 //
 // Output: a per-series table on stdout and BENCH_snapshot.json gated by
 // tools/check_bench.py in CI. The per-series snapshot files
 // (BENCH_snapshot.poolN.snap) are left on disk for the CI artifact
-// upload -- a real snapshot any future reader must stay able to open.
+// upload -- real bytes of the current section version, which a reader
+// of the same version must open; a later version refuses them.
 
 #include <cstdio>
 #include <string>

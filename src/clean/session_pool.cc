@@ -61,14 +61,20 @@ SessionPool::SessionId SessionPool::OpenSession() {
   Session& session = sessions_[id];
   session.open = true;
   session.overlay = DatabaseOverlay(base_.get());
-  session.scan = engine_.ForkSession();
+  session.pending_replay_begin = kNoPending;
+  ++num_open_;
+  return id;
+}
+
+void SessionPool::Materialize(Session* session) const {
+  session->scan = engine_.ForkSession();
   // Fork the base TP ladder the same way the engine forks its outputs:
   // omega is identically zero at and past each rung's scan_end, so only
   // the live prefix is copied onto a zeroed buffer.
-  session.tps.resize(base_tps_.size());
+  session->tps.resize(base_tps_.size());
   for (size_t j = 0; j < base_tps_.size(); ++j) {
     const TpOutput& src = base_tps_[j];
-    TpOutput& dst = session.tps[j];
+    TpOutput& dst = session->tps[j];
     dst.quality = src.quality;
     dst.scan_end = src.scan_end;
     dst.omega.assign(src.omega.size(), 0.0);
@@ -77,9 +83,6 @@ SessionPool::SessionId SessionPool::OpenSession() {
     dst.xtuple_gain = src.xtuple_gain;
     dst.xtuple_topk_mass = src.xtuple_topk_mass;
   }
-  session.pending_replay_begin = kNoPending;
-  ++num_open_;
-  return id;
 }
 
 Status SessionPool::CheckOpen(SessionId id) const {
@@ -101,6 +104,7 @@ Status SessionPool::ApplyCleanOutcome(SessionId id, XTupleId xtuple,
   if (delta->first_changed_rank >= base_->num_tuples()) {
     return Status::OK();  // outcome was already materialized
   }
+  if (session.pristine()) Materialize(&session);
   const size_t begin = delta->first_changed_rank;
   if (session.pending_replay_begin == kNoPending ||
       begin < session.pending_replay_begin) {

@@ -13,8 +13,11 @@
 //    (model/database_overlay.h): overlay tombstones + patched resolved
 //    tuples, rank indices stable, base untouched.
 //  * ONE ladder PsrEngine over the base, scanned and checkpointed once.
-//    Opening a session forks the engine's outputs (PsrEngine::
-//    ForkSession -- a memcpy, no scan) and copies the base TP ladder.
+//    Opening a session is O(1) (copy on first write): a pristine session
+//    owns no scan or TP state and its reads alias the engine's outputs
+//    and the base TP ladder. Its first recorded outcome materializes the
+//    state -- a fork of the engine's outputs (PsrEngine::ForkSession, a
+//    memcpy, no scan) and a copy of the base TP ladder.
 //  * Refreshing a session replays ONLY that session's suffix
 //    (PsrEngine::ReplaySession): the shared checkpoints cover the prefix
 //    above the session's divergence rank, the session's private
@@ -152,11 +155,11 @@ class SessionPool {
   const TpOutput& base_tp(size_t rung = 0) const { return base_tps_[rung]; }
 
   /// Admission hooks for the serving front-end (src/serve/): the shared
-  /// engine's maintained PSR output for rung `rung`. For a pristine
-  /// session this IS the session's state (ForkSession is a memcpy), so
-  /// replay-from-checkpoint serving reads base queries straight from
-  /// here with zero scans; the rung scan_ends also anchor the cost
-  /// model's ScanDepthProbe. Read-only after Create/OpenFromSnapshot.
+  /// engine's maintained PSR output for rung `rung`. A pristine session's
+  /// psr() returns this very object, so replay-from-checkpoint serving
+  /// reads base queries straight from here with zero scans; the rung
+  /// scan_ends also anchor the cost model's ScanDepthProbe. Read-only
+  /// after Create/OpenFromSnapshot.
   const PsrOutput& base_psr(size_t rung = 0) const {
     return engine_.output(rung);
   }
@@ -166,8 +169,9 @@ class SessionPool {
   /// and -- through clean/pipeline.h -- in-flight probe batches.
   const ExecOptions& exec() const { return options_.exec; }
 
-  /// Opens a session: forks the shared scan state (a memcpy, no scan).
-  /// Never fails on a live pool; returns a handle for every other call.
+  /// Opens a session in O(1): it shares the base state until its first
+  /// recorded outcome (see the header comment). Never fails on a live
+  /// pool; returns a handle for every other call.
   SessionId OpenSession() UCLEAN_EXCLUDES(gate_);
 
   /// Number of currently open sessions.
@@ -179,7 +183,8 @@ class SessionPool {
   }
 
   /// Collapses `xtuple` to `resolved_id` (negative = entity absent) in
-  /// session `id`'s overlay only. State refresh is deferred to Refresh.
+  /// session `id`'s overlay only. The session's first recorded outcome
+  /// materializes its private state; refresh is deferred to Refresh.
   Status ApplyCleanOutcome(SessionId id, XTupleId xtuple, TupleId resolved_id)
       UCLEAN_EXCLUDES(gate_);
 
@@ -212,34 +217,33 @@ class SessionPool {
     return Slot(id).overlay;
   }
 
+  // A pristine session's reads alias the shared engine outputs and base
+  // TP ladder (copy on first write).
+
   /// Maintained PSR state of rung `rung`. Requires !dirty(id).
   const PsrOutput& psr(SessionId id, size_t rung = 0) const {
     const Session& s = Slot(id);
     UCLEAN_CHECK(s.pending_replay_begin == kNoPending);
-    return s.scan.output(rung);
+    return s.pristine() ? engine_.output(rung) : s.scan.output(rung);
   }
 
   /// Maintained TP quality state of rung `rung`. Requires !dirty(id).
   const TpOutput& tp(SessionId id, size_t rung = 0) const {
-    const Session& s = Slot(id);
-    UCLEAN_CHECK(s.pending_replay_begin == kNoPending);
-    UCLEAN_DCHECK(rung < s.tps.size());
-    return s.tps[rung];
+    const std::vector<TpOutput>& all = tps(id);
+    UCLEAN_DCHECK(rung < all.size());
+    return all[rung];
   }
 
   /// All per-rung TP states, ladder order. Requires !dirty(id).
   const std::vector<TpOutput>& tps(SessionId id) const {
     const Session& s = Slot(id);
     UCLEAN_CHECK(s.pending_replay_begin == kNoPending);
-    return s.tps;
+    return s.pristine() ? base_tps_ : s.tps;
   }
 
   /// Current PWS-quality S(D,Q) at rung `rung`. Requires !dirty(id).
   double quality(SessionId id, size_t rung = 0) const {
-    const Session& s = Slot(id);
-    UCLEAN_CHECK(s.pending_replay_begin == kNoPending);
-    UCLEAN_DCHECK(rung < s.tps.size());
-    return s.tps[rung].quality;
+    return tp(id, rung).quality;
   }
 
   /// Materializes the session's outcomes into a standalone compacted
@@ -263,12 +267,21 @@ class SessionPool {
   struct Session {
     bool open = false;
     DatabaseOverlay overlay;
+    // Private scan and TP state: both empty while the session is
+    // pristine (no recorded outcome), which is what pristine() tests.
     PsrEngine::SessionState scan;
     std::vector<TpOutput> tps;
     size_t pending_replay_begin = kNoPending;
+
+    bool pristine() const { return tps.empty(); }
   };
 
   SessionPool() = default;
+
+  /// Gives a pristine session its private state: a fork of the engine's
+  /// outputs plus a copy of the base TP ladder's live prefixes -- the
+  /// bits the shared state it aliased until now.
+  void Materialize(Session* session) const;
 
   /// Refresh body inside a caller-opened gate window, shared by Refresh
   /// and RefreshAll's fan-out (whose worker tasks run under the caller's

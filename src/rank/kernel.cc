@@ -25,21 +25,28 @@ void FoldFactorScalar(double* c, const double* base, std::size_t top,
   c[0] = base[0] * h;
 }
 
+// Both divide-out recurrences run on reciprocals taken once per call:
+// the loop-carried chain is mul->sub (one division per call, none per
+// element), which is what keeps the dependent divide off the critical
+// path of every BuildExclusion.
 void DivideOutFwdScalar(double* excl, const double* c, std::size_t top,
                         double q) {
-  const double headroom = 1.0 - q;
-  excl[0] = c[0] / headroom;
+  const double r = 1.0 / (1.0 - q);
+  const double s = q * r;
+  excl[0] = c[0] * r;
   for (std::size_t j = 1; j < top; ++j) {
-    const double v = (c[j] - excl[j - 1] * q) / headroom;
+    const double v = c[j] * r - excl[j - 1] * s;
     excl[j] = v < 0.0 ? 0.0 : v;
   }
 }
 
 void DivideOutBwdScalar(double* excl, const double* c, std::size_t top,
                         double q) {
-  excl[top - 1] = c[top] / q;
+  const double r = 1.0 / q;
+  const double s = (1.0 - q) * r;
+  excl[top - 1] = c[top] * r;
   for (std::size_t j = top - 1; j > 0; --j) {
-    const double v = (c[j] - (1.0 - q) * excl[j]) / q;
+    const double v = c[j] * r - excl[j] * s;
     excl[j - 1] = v < 0.0 ? 0.0 : v;
   }
 }

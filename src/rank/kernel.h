@@ -24,12 +24,13 @@
 //    and without -mfma, so no path ever fuses a multiply-add the other
 //    path rounds in two steps.
 //  * The divide-out recurrences are GENUINELY SEQUENTIAL: each element
-//    is a mul+sub+div chain on its predecessor, and any lane-parallel
-//    evaluation would necessarily re-associate those roundings --
-//    bitwise-exact vectorization is provably impossible there. Both
-//    kernels therefore run the SAME scalar divide-out code (the AVX2
-//    table points at the scalar functions), which keeps the contract
-//    exact instead of falling back to a tolerance gate.
+//    is a mul+sub chain on its predecessor (the divisions are taken
+//    once per call, as reciprocals, off the loop-carried path), and any
+//    lane-parallel evaluation would necessarily re-associate those
+//    roundings -- bitwise-exact vectorization is provably impossible
+//    there. Both kernels therefore run the SAME scalar divide-out code
+//    (the AVX2 table points at the scalar functions), which keeps the
+//    contract exact instead of falling back to a tolerance gate.
 //
 // Runtime dispatch: the AVX2 path is compiled into its own translation
 // unit (kernel_avx2.cc) with -mavx2 applied to that file only -- the
@@ -115,17 +116,19 @@ struct ScanKernel {
                       double q);
 
   /// Stable divide-out, forward direction (for q <= 1/2): writes
-  /// excl[0..top-1] from c[0..top-1] via
-  ///     excl[0] = c[0] / (1-q)
-  ///     excl[j] = max(0, (c[j] - excl[j-1] * q) / (1-q))
+  /// excl[0..top-1] from c[0..top-1] on the reciprocals r = 1/(1-q),
+  /// s = q*r (taken once per call) via
+  ///     excl[0] = c[0] * r
+  ///     excl[j] = max(0, c[j] * r - excl[j-1] * s)
   /// Sequential by construction; identical scalar code in every kernel.
   void (*divide_out_fwd)(double* excl, const double* c, std::size_t top,
                          double q);
 
   /// Stable divide-out, backward direction (for q > 1/2): writes
-  /// excl[0..top-1] from c[1..top] via the exact top seed
-  ///     excl[top-1] = c[top] / q
-  ///     excl[j-1]   = max(0, (c[j] - (1-q) * excl[j]) / q)
+  /// excl[0..top-1] from c[1..top] on the reciprocals r = 1/q,
+  /// s = (1-q)*r (taken once per call) via the top seed
+  ///     excl[top-1] = c[top] * r
+  ///     excl[j-1]   = max(0, c[j] * r - excl[j] * s)
   /// Sequential by construction; identical scalar code in every kernel.
   void (*divide_out_bwd)(double* excl, const double* c, std::size_t top,
                          double q);

@@ -42,9 +42,18 @@
 //  * Dividing out a factor uses the forward recurrence when q <= 1/2
 //    (error ratio q/(1-q) <= 1) and the backward recurrence
 //        c_excl[j-1] = (c[j] - (1-q) * c_excl[j]) / q
-//    seeded exactly from the top (c_excl[T-1] = c[T] / q) when q > 1/2
-//    (error ratio (1-q)/q < 1, division by q >= 1/2). Both directions are
+//    seeded from the top (c_excl[T-1] = c[T] / q) when q > 1/2 (error
+//    ratio (1-q)/q < 1, division by q >= 1/2). Both directions are
 //    non-amplifying, so results hold to ~ulp for any mass skew and any k.
+//  * Both recurrences are evaluated division-free (rank/kernel.h): the
+//    reciprocal r of the divisor and the ratio s = (other mass) * r are
+//    taken once per call, and each element is c[j] * r - (neighbour) * s.
+//    That keeps a dependent divide off the loop-carried chain, the
+//    divide-out being the scan's hot spot. The split rounds r and s
+//    once each, which moves results at the ulp level only:
+//    tests/kernel_test.cc pins both directions within a few ulps of the
+//    vector's bulk against a long double reference, to the same bound
+//    the division form meets.
 //  * The divide/multiply error is non-amplifying in ABSOLUTE terms (at
 //    the scale of the vector's bulk, ~1), not relative to the smallest
 //    coefficients: across thousands of positions the tail entries --

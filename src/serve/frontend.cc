@@ -355,6 +355,12 @@ std::vector<Reply> Frontend::ExecuteRound(
     UCLEAN_CHECK(scan_request.ok());  // ks are validated, non-empty
     scan_request->exec = pool_.exec();
     Result<ScanResult> scan = ComputePsrLadder(pool_.base(), *scan_request);
+    // Members on one rung asking the same verb share one payload: the
+    // first builds it (FillTopk or the TP pass, an error included) and
+    // the rest copy it.
+    constexpr size_t kUnbuilt = static_cast<size_t>(-1);
+    std::vector<size_t> payload_owner(2 * scan_request->ladder.size(),
+                                      kUnbuilt);
     for (size_t b = 0; b < batch.size(); ++b) {
       const size_t i = batch[b];
       const auto& [client_id, request] = round[i];
@@ -367,9 +373,17 @@ std::vector<Reply> Frontend::ExecuteRound(
       record.executed = PlanKind::kLadderShared;
       record.batch_size = batch.size();
       record.threads = pool_.exec().num_threads;
-      reply->plan = record;
       const size_t rung = scan_request->ladder.IndexOf(request.k);
       UCLEAN_CHECK(rung != KLadder::npos);
+      const size_t verb_slot = request.verb == Verb::kTopk ? 0 : 1;
+      size_t& first = payload_owner[2 * rung + verb_slot];
+      if (first != kUnbuilt) {
+        *reply = replies[first];
+        reply->plan = record;
+        continue;
+      }
+      first = i;
+      reply->plan = record;
       const PsrOutput& psr = scan->output(rung);
       if (request.verb == Verb::kTopk) {
         FillTopk(psr, reply);

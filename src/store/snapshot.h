@@ -30,7 +30,7 @@
 //              | table_crc (over all entry bytes)  u32        |
 //              +----------------------------------------------+
 //
-// SECTION PAYLOADS (section version 2; f64[] is a varint count followed
+// SECTION PAYLOADS (section version 3; f64[] is a varint count followed
 // by the doubles, so a live prefix carries its own length):
 //   database   varint n, then n tuples { zigzag id, varint x-tuple,
 //              f64 score, f64 prob, bool is_null, string label };
@@ -57,9 +57,13 @@
 //    independently of the container. A reader decodes exactly the
 //    section version it implements and refuses every other one, older
 //    included (DataLoss naming the section): there is one decode path,
-//    never a migration. Section version 2 (this reader) replaced
-//    version 1's full-length vectors and stored member lists with the
-//    live-byte layout below; version-1 files are refused.
+//    never a migration. Section version 2 replaced version 1's
+//    full-length vectors and stored member lists with the live-byte
+//    layout below. Section version 3 (this reader) keeps that layout
+//    but marks the division-free divide-out arithmetic (rank/kernel.h):
+//    a version-2 file holds count vectors from the division form, and
+//    replaying from them could not match a cold create bitwise. Files
+//    of version 1 and 2 are refused.
 //  * UNKNOWN SECTION IDS ARE SKIPPED (their CRC is still verified): a
 //    newer writer may append sections an older reader ignores.
 //  * UNKNOWN FEATURE FLAGS ARE FATAL (DataLoss): a flag marks a semantic
@@ -73,12 +77,12 @@
 // tombstone/compaction state), the PsrEngine's logical state (ladder,
 // PSR options, outputs, checkpoint list, cadence), the base TP ladder,
 // each session slot (overlay outcomes + SessionState + TP state;
-// pristine sessions are re-forked on load instead of stored), the free
+// pristine sessions own no state, on disk or in memory), the free
 // list, and optionally a CampaignSnapshot (budgets, progress, probe
 // logs, Rng + FaultInjector states).
 //
-// ONLY LIVE BYTES ARE STORED (section version 2): whatever the reader can
-// recompute exactly is left out, and the reader recomputes it.
+// ONLY LIVE BYTES ARE STORED (since section version 2): whatever the
+// reader can recompute exactly is left out, and the reader recomputes it.
 //  * Zero tails. By the Lemma-2 stop rule every tuple at or past a rung's
 //    scan_end has top-k probability 0 and TP weight omega 0, so
 //    PsrOutput::topk_prob, the PsrOutput::rank_prob rows and
@@ -150,8 +154,9 @@ inline constexpr uint32_t kSectionSessions = 4;
 inline constexpr uint32_t kSectionCampaign = 5;
 
 /// The one section version this reader implements and writers write
-/// (2: live prefixes, derived member lists); any other is DataLoss.
-inline constexpr uint32_t kSectionVersion = 2;
+/// (2: live prefixes, derived member lists; 3: same layout, state from
+/// the division-free divide-out); any other is DataLoss.
+inline constexpr uint32_t kSectionVersion = 3;
 
 /// "meta" / "database" / ... / "unknown" for display (inspect CLI).
 const char* SectionName(uint32_t id);

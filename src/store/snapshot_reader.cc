@@ -671,12 +671,10 @@ Status SnapshotAccess::DecodeSessions(store::BinReader* r,
         UCLEAN_RETURN_IF_ERROR(store::DecodeTpOutput(
             r, num_tuples, num_xtuples, &session.tps[j]));
       }
-    } else {
-      // Pristine session: its fork of the base scan is bit-reproducible
-      // from the (already reconstructed) engine -- a memcpy, no scan.
-      session.scan = pool->engine_.ForkSession();
-      session.tps = pool->base_tps_;
     }
+    // A pristine session stays stateless: it aliases the (already
+    // reconstructed) engine outputs and base TP ladder until its first
+    // outcome, exactly like a freshly opened one.
     session.pending_replay_begin = SessionPool::kNoPending;
     pool->sessions_.push_back(std::move(session));
   }

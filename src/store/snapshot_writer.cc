@@ -330,10 +330,10 @@ Status SnapshotAccess::EncodeSessions(const SessionPool& pool,
       w->PutZigzag(xtuple);
       w->PutZigzag(resolved_id);
     }
-    // Pristine sessions (no outcomes) carry no state: their fork of the
-    // base scan is bit-reproducible from the engine on load, so storing
-    // it would only bloat the file -- the dominant cost for big pools.
+    // Pristine sessions (no outcomes) carry no state, in memory or on
+    // disk: they alias the engine's outputs and the base TP ladder.
     const bool has_state = !outcomes.empty();
+    UCLEAN_DCHECK(has_state != session.pristine());
     w->PutBool(has_state);
     if (!has_state) continue;
     const PsrEngine::SessionState& scan = session.scan;

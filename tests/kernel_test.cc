@@ -16,6 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -310,6 +313,129 @@ TEST(KernelOps, FoldScaleArgmaxBitwiseEqual) {
     for (size_t i = 0; i < n; ++i) {
       ASSERT_EQ(ei_s[i], ei_ref[i]) << "emit-argmax-index " << label;
       ASSERT_EQ(ei_s[i], ei_v[i]) << "emit-argmax-index-avx2 " << label;
+    }
+  }
+}
+
+// ------------------------------------------------- divide-out accuracy
+//
+// The divide-out recurrences run on reciprocals taken once per call
+// (rank/kernel.h), so they round differently from the division form
+// they replaced. These pins bound their error against a long double
+// evaluation of the same recurrence, in ulps of the vector's bulk
+// (DBL_EPSILON * max |reference|, the scale at which the scan core's
+// error is non-amplifying), and hold the division form to the same
+// bound on the same inputs: the rewrite must be as accurate as what it
+// replaced.
+
+/// The division form of both recurrences, with the scan core's
+/// direction choice: forward for q <= 1/2, backward from the top above.
+void DivideOutByDivision(double* excl, const double* c, size_t top,
+                         double q) {
+  if (q <= 0.5) {
+    excl[0] = c[0] / (1.0 - q);
+    for (size_t j = 1; j < top; ++j) {
+      excl[j] = std::max(0.0, (c[j] - excl[j - 1] * q) / (1.0 - q));
+    }
+  } else {
+    excl[top - 1] = c[top] / q;
+    for (size_t j = top - 1; j > 0; --j) {
+      excl[j - 1] = std::max(0.0, (c[j] - (1.0 - q) * excl[j]) / q);
+    }
+  }
+}
+
+/// The same recurrences in long double: the accuracy reference.
+std::vector<long double> DivideOutReference(const std::vector<double>& c,
+                                            size_t top, double q) {
+  const long double ql = q;
+  const long double h = 1.0L - ql;
+  std::vector<long double> excl(top);
+  if (q <= 0.5) {
+    excl[0] = c[0] / h;
+    for (size_t j = 1; j < top; ++j) {
+      excl[j] = std::max(0.0L, (c[j] - excl[j - 1] * ql) / h);
+    }
+  } else {
+    excl[top - 1] = c[top] / ql;
+    for (size_t j = top - 1; j > 0; --j) {
+      excl[j - 1] = std::max(0.0L, (c[j] - h * excl[j]) / ql);
+    }
+  }
+  return excl;
+}
+
+/// The kernel's divide-out with the scan core's direction choice.
+void KernelDivideOut(const ScanKernel& kernel, double* excl, const double* c,
+                     size_t top, double q) {
+  if (q <= 0.5) {
+    kernel.divide_out_fwd(excl, c, top, q);
+  } else {
+    kernel.divide_out_bwd(excl, c, top, q);
+  }
+}
+
+/// Max |got - ref| in ulps of the reference's bulk.
+double BulkUlps(const std::vector<double>& got,
+                const std::vector<long double>& ref) {
+  long double bulk = 0.0L;
+  long double err = 0.0L;
+  for (size_t j = 0; j < ref.size(); ++j) {
+    bulk = std::max(bulk, std::fabs(ref[j]));
+    err = std::max(err, std::fabs(static_cast<long double>(got[j]) - ref[j]));
+  }
+  return bulk == 0.0L ? 0.0 : static_cast<double>(err / (bulk * DBL_EPSILON));
+}
+
+/// A Poisson-binomial count vector over `top - 1` random factors
+/// (indices 0..top-1, summing to 1) -- the shape the scan divides.
+std::vector<double> RandomCounts(size_t top, Rng* rng) {
+  const ScanKernel& scalar = psr_internal::ScalarScanKernel();
+  std::vector<double> b(top, 0.0);
+  b[0] = 1.0;
+  for (size_t i = 1; i < top; ++i) {
+    scalar.fold_factor(b.data(), b.data(), i, rng->Uniform(0.0, 1.0));
+  }
+  return b;
+}
+
+// Bulk-scale ulp bounds both forms meet on every input below (measured
+// worst: 2.3 reciprocal, 1.1 division). The round trip also carries the
+// fold's rounding, which accumulates where the error ratio is near 1
+// (q near 1/2): measured worst 6.8 reciprocal, 6.0 division.
+constexpr double kDivideOutMaxBulkUlps = 4.0;
+constexpr double kRoundTripMaxBulkUlps = 12.0;
+
+TEST(KernelDivideOut, AccuracyPinnedAgainstLongDoubleReference) {
+  const ScanKernel& scalar = psr_internal::ScalarScanKernel();
+  const double qs[] = {1e-9, 0.25, 0.5, std::nextafter(0.5, 1.0), 0.9,
+                       1.0 - 1e-12};
+  Rng rng(20261017);
+  for (const double q : qs) {
+    std::vector<size_t> tops = {1, 2, 2000};
+    for (int i = 0; i < 6; ++i) {
+      tops.push_back(static_cast<size_t>(rng.UniformInt(1, 2000)));
+    }
+    for (const size_t top : tops) {
+      const std::string label =
+          "q=" + std::to_string(q) + " top=" + std::to_string(top);
+      const std::vector<double> b = RandomCounts(top, &rng);
+      std::vector<double> c(top + 1);
+      scalar.fold_factor(c.data(), b.data(), top, q);
+      const std::vector<long double> ref = DivideOutReference(c, top, q);
+
+      std::vector<double> excl(top), by_division(top);
+      KernelDivideOut(scalar, excl.data(), c.data(), top, q);
+      DivideOutByDivision(by_division.data(), c.data(), top, q);
+      EXPECT_LE(BulkUlps(excl, ref), kDivideOutMaxBulkUlps) << label;
+      EXPECT_LE(BulkUlps(by_division, ref), kDivideOutMaxBulkUlps) << label;
+
+      // Divide-then-fold round trip: dividing the factor back out of a
+      // folded vector recovers the vector it was folded into.
+      const std::vector<long double> b_ref(b.begin(), b.end());
+      EXPECT_LE(BulkUlps(excl, b_ref), kRoundTripMaxBulkUlps) << label;
+      EXPECT_LE(BulkUlps(by_division, b_ref), kRoundTripMaxBulkUlps)
+          << label;
     }
   }
 }

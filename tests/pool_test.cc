@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <thread>
@@ -24,6 +25,7 @@
 #include "model/database_overlay.h"
 #include "quality/tp.h"
 #include "rank/psr.h"
+#include "rank/psr_engine.h"
 #include "tests/test_util.h"
 #include "workload/synthetic.h"
 
@@ -357,6 +359,165 @@ TEST(SessionPool, ValidatesArguments) {
   std::vector<int64_t> probes(base.num_xtuples(), 1);
   Rng rng(1);
   EXPECT_FALSE(ExecutePlan(&*pool, id, profile, probes, &rng).ok());
+}
+
+// ----------------------------------------------------- lazy sessions
+//
+// A session owns no scan or TP state until its overlay records its first
+// outcome (copy on first write); until then its reads alias the shared
+// engine outputs and base TP ladder.
+
+ProbabilisticDatabase MakeLazyTestDb() {
+  Rng maker(8080);
+  RandomDbOptions opts;
+  opts.num_xtuples = 20;
+  opts.max_alternatives = 4;
+  return MakeRandomDatabase(&maker, opts);
+}
+
+void ExpectAliasesBase(const SessionPool& pool, SessionPool::SessionId id) {
+  for (size_t rung = 0; rung < pool.num_rungs(); ++rung) {
+    EXPECT_EQ(&pool.psr(id, rung), &pool.base_psr(rung)) << "rung " << rung;
+    EXPECT_EQ(&pool.tp(id, rung), &pool.base_tp(rung)) << "rung " << rung;
+    EXPECT_EQ(&pool.tps(id)[rung], &pool.base_tp(rung)) << "rung " << rung;
+    EXPECT_EQ(pool.quality(id, rung), pool.base_tp(rung).quality);
+  }
+}
+
+void ExpectTpBitwiseEq(const TpOutput& a, const TpOutput& b) {
+  EXPECT_EQ(a.quality, b.quality);
+  EXPECT_EQ(a.scan_end, b.scan_end);
+  EXPECT_EQ(a.omega, b.omega);
+  EXPECT_EQ(a.xtuple_gain, b.xtuple_gain);
+  EXPECT_EQ(a.xtuple_topk_mass, b.xtuple_topk_mass);
+}
+
+TEST(SessionPoolLazy, PristineSessionsAliasTheSharedState) {
+  const KLadder ladder = MakeLadder({2, 6});
+  Result<SessionPool> pool = SessionPool::Create(MakeLazyTestDb(), ladder);
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  const SessionPool::SessionId a = pool->OpenSession();
+  const SessionPool::SessionId b = pool->OpenSession();
+  ExpectAliasesBase(*pool, a);
+  ExpectAliasesBase(*pool, b);
+
+  // Re-cleaning an already-certain x-tuple records nothing, so the
+  // session stays pristine.
+  bool found_certain = false;
+  for (size_t l = 0; l < pool->base().num_xtuples(); ++l) {
+    const auto& members = pool->base().xtuple_members(static_cast<XTupleId>(l));
+    if (members.size() == 1 && pool->base().tuple(members[0]).prob == 1.0) {
+      ASSERT_TRUE(pool->ApplyCleanOutcome(a, static_cast<XTupleId>(l),
+                                          pool->base().tuple(members[0]).id)
+                      .ok());
+      EXPECT_EQ(pool->overlay(a).num_outcomes(), 0u);
+      EXPECT_FALSE(pool->dirty(a));
+      ExpectAliasesBase(*pool, a);
+      found_certain = true;
+      break;
+    }
+  }
+  EXPECT_TRUE(found_certain);
+
+  // Close works on a session that never materialized, and its recycled
+  // slot opens pristine again.
+  ASSERT_TRUE(pool->Close(a).ok());
+  EXPECT_EQ(pool->num_open(), 1u);
+  const SessionPool::SessionId reused = pool->OpenSession();
+  EXPECT_EQ(reused, a);
+  ExpectAliasesBase(*pool, reused);
+  Result<ProbabilisticDatabase> merged = pool->CloseAndMerge(b);
+  ASSERT_TRUE(merged.ok()) << merged.status();
+  EXPECT_EQ(merged->num_tuples(), pool->base().num_tuples());
+}
+
+TEST(SessionPoolLazy, FirstOutcomeMaterializesTheEagerFork) {
+  // The eager path every session used to take at open: fork the engine,
+  // copy the base TP ladder, replay and delta-update after the outcomes.
+  // The lazily materialized session must end up with the same bits.
+  const KLadder ladder = MakeLadder({3, 8});
+  Result<SessionPool> pool = SessionPool::Create(MakeLazyTestDb(), ladder);
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  const ProbabilisticDatabase& base = pool->base();
+  ScanRequest request;
+  request.ladder = ladder;
+  Result<PsrEngine> engine = PsrEngine::Create(base, request);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  Result<std::vector<TpOutput>> base_tps =
+      ComputeTpQualityLadder(base, engine->outputs());
+  ASSERT_TRUE(base_tps.ok()) << base_tps.status();
+
+  Rng rng(4711);
+  const auto outcomes = DrawOutcomes(base, 3, &rng);
+  ASSERT_FALSE(outcomes.empty());
+  const SessionPool::SessionId id = pool->OpenSession();
+  PsrEngine::SessionState eager = engine->ForkSession();
+  std::vector<TpOutput> eager_tps = *base_tps;
+  DatabaseOverlay overlay(&base);
+  size_t replay_begin = base.num_tuples();
+  for (const auto& [xtuple, resolved] : outcomes) {
+    ASSERT_TRUE(pool->ApplyCleanOutcome(id, xtuple, resolved).ok());
+    Result<ProbabilisticDatabase::CleanOutcomeDelta> delta =
+        overlay.ApplyCleanOutcome(xtuple, resolved);
+    ASSERT_TRUE(delta.ok());
+    replay_begin = std::min(replay_begin, delta->first_changed_rank);
+  }
+  ASSERT_TRUE(engine->ReplaySession(overlay, replay_begin, &eager).ok());
+  ASSERT_TRUE(UpdateTpQualityLadder(overlay, eager.outputs(), replay_begin,
+                                    &eager_tps)
+                  .ok());
+  ASSERT_TRUE(pool->Refresh(id).ok());
+
+  for (size_t rung = 0; rung < pool->num_rungs(); ++rung) {
+    EXPECT_NE(&pool->psr(id, rung), &pool->base_psr(rung));
+    const PsrOutput& got = pool->psr(id, rung);
+    const PsrOutput& want = eager.output(rung);
+    EXPECT_EQ(got.topk_prob, want.topk_prob) << "rung " << rung;
+    EXPECT_EQ(got.num_nonzero, want.num_nonzero);
+    EXPECT_EQ(got.scan_end, want.scan_end);
+    EXPECT_EQ(got.best_rank_prob, want.best_rank_prob);
+    EXPECT_EQ(got.best_rank_index, want.best_rank_index);
+    ExpectTpBitwiseEq(pool->tp(id, rung), eager_tps[rung]);
+  }
+}
+
+TEST(SessionPoolLazy, RefreshAllMixesPristineAndCleanedSessions) {
+  const ProbabilisticDatabase base = MakeLazyTestDb();
+  const KLadder ladder = MakeLadder({2, 5});
+  SessionPool::Options options;
+  options.exec.num_threads = 3;
+  Result<SessionPool> pool =
+      SessionPool::Create(ProbabilisticDatabase(base), ladder, options);
+  ASSERT_TRUE(pool.ok()) << pool.status();
+
+  // Sessions 0 and 2 clean, 1 and 3 stay pristine.
+  constexpr size_t kSessions = 4;
+  std::vector<SessionPool::SessionId> ids;
+  std::vector<CleaningSession> dedicated;
+  for (size_t s = 0; s < kSessions; ++s) {
+    ids.push_back(pool->OpenSession());
+    Result<CleaningSession> single = CleaningSession::Start(
+        ProbabilisticDatabase(base), ladder, EagerCompaction());
+    ASSERT_TRUE(single.ok()) << single.status();
+    dedicated.push_back(std::move(single).value());
+  }
+  Rng rng(2718);
+  for (int round = 0; round < 3; ++round) {
+    for (size_t s = 0; s < kSessions; s += 2) {
+      for (const auto& [xtuple, resolved] :
+           DrawOutcomes(dedicated[s].db(), 2, &rng)) {
+        ASSERT_TRUE(pool->ApplyCleanOutcome(ids[s], xtuple, resolved).ok());
+        ASSERT_TRUE(dedicated[s].ApplyCleanOutcome(xtuple, resolved).ok());
+      }
+      ASSERT_TRUE(dedicated[s].Refresh().ok());
+    }
+    ASSERT_TRUE(pool->RefreshAll().ok());
+    for (size_t s = 0; s < kSessions; ++s) {
+      EXPECT_FALSE(pool->dirty(ids[s]));
+      if (s % 2 == 1) ExpectAliasesBase(*pool, ids[s]);
+      ExpectMatchesDedicated(*pool, ids[s], dedicated[s]);
+    }
+  }
 }
 
 TEST(DatabaseOverlay, RecordsOutcomesWithoutTouchingTheBase) {

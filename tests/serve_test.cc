@@ -335,6 +335,41 @@ std::string StripPlanTokens(const std::string& line) {
   return out;
 }
 
+TEST(ServeBatching, DuplicateKsShareOnePayloadPerRungAndMatchSolo) {
+  // Batch members on one rung asking the same verb share one reply
+  // payload; each must still read exactly like the solo reply.
+  const ProbabilisticDatabase db = MakeDb();
+  FrontendOptions options;
+  options.forced_plan = PlanKind::kLadderShared;
+  Result<Frontend> frontend =
+      Frontend::Create(MakePool(db, {20}, 1), std::nullopt, options);
+  ASSERT_TRUE(frontend.ok()) << frontend.status().ToString();
+  const std::vector<std::pair<Verb, size_t>> asks = {
+      {Verb::kTopk, 5},     {Verb::kTopk, 5},     {Verb::kQuality, 5},
+      {Verb::kTopk, 33},    {Verb::kQuality, 33}, {Verb::kQuality, 33},
+      {Verb::kTopk, 5},     {Verb::kQuality, 5},  {Verb::kTopk, 33}};
+  std::vector<std::pair<Frontend::ClientId, Request>> round;
+  for (const auto& [verb, k] : asks) {
+    Request request;
+    request.verb = verb;
+    request.k = k;
+    round.emplace_back(frontend->Connect(), request);
+  }
+  const std::vector<Reply> batched = frontend->ExecuteRound(round);
+  ASSERT_EQ(batched.size(), round.size());
+  for (size_t i = 0; i < round.size(); ++i) {
+    const Reply solo = frontend->Execute(round[i].first, round[i].second);
+    ASSERT_TRUE(batched[i].status.ok()) << batched[i].status.ToString();
+    EXPECT_EQ(batched[i].plan.executed, PlanKind::kLadderShared);
+    EXPECT_EQ(batched[i].plan.batch_size, round.size());
+    EXPECT_EQ(solo.plan.batch_size, 1u);
+    EXPECT_EQ(StripPlanTokens(FormatReply(batched[i])),
+              StripPlanTokens(FormatReply(solo)))
+        << "request " << i;
+    ExpectSameAnswer(batched[i], solo, "request " + std::to_string(i));
+  }
+}
+
 TEST(ServeServer, ConcurrentSocketpairClientsMatchDirectRounds) {
   const ProbabilisticDatabase db = MakeDb();
   const CleaningProfile profile = MakeProfile();

@@ -7,13 +7,15 @@
 //    (the strongest round-trip statement: load == built, byte for byte);
 //  * post-load serving behaves identically: the same cleans produce the
 //    same refreshed state on the original and the reloaded pool;
-//  * only live bytes are stored (section version 2): zero tails past
+//  * pristine sessions are stored and loaded without state: a pool of
+//    them warm-opens into sessions that alias the loaded engine;
+//  * only live bytes are stored (since section version 2): zero tails past
 //    each scan end are re-created on load, including after a clean that
 //    moved a session's scan end backward, and the writer refuses
 //    (Status::Internal) a nonzero entry it would otherwise drop;
 //  * every corruption mode -- a bit flip inside each section, truncation
-//    at every section boundary, unknown feature flags, future and
-//    version-1 sections, missing sections, and checksum-valid payloads
+//    at every section boundary, unknown feature flags, future, version-1
+//    and version-2 sections, missing sections, and checksum-valid payloads
 //    whose fields disagree (a live prefix longer or shorter than its scan
 //    end, a scan end past the table, a wrong nonzero count, a base TP
 //    scan end that is not its engine rung's) -- fails with
@@ -270,6 +272,35 @@ TEST(SnapshotRoundTripTest, SurvivesClosedSlotsAndThreadedWriter) {
   EXPECT_EQ(SerializedPool(*loaded), SerializedPool(built.pool));
 }
 
+TEST(SnapshotRoundTripTest, PristineSessionPoolWarmOpensStateless) {
+  // 64 pristine sessions own no state, on disk or after the load: each
+  // loaded session aliases the loaded engine, and the loaded pool
+  // re-serializes to the cold pool's bytes.
+  const ProbabilisticDatabase db = MakeDb(200);
+  const KLadder ladder = MakeLadder({5, 20});
+  Result<SessionPool> built =
+      SessionPool::Create(ProbabilisticDatabase(db), ladder);
+  ASSERT_TRUE(built.ok()) << built.status();
+  constexpr size_t kSessions = 64;
+  std::vector<SessionPool::SessionId> ids;
+  for (size_t s = 0; s < kSessions; ++s) ids.push_back(built->OpenSession());
+
+  const std::string path = TempPath("pristine64.snap");
+  ASSERT_TRUE(store::WriteSnapshot(*built, path).ok());
+  Result<SessionPool> loaded = SessionPool::OpenFromSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  ASSERT_EQ(loaded->num_open(), kSessions);
+  for (SessionPool::SessionId id : ids) {
+    for (size_t rung = 0; rung < ladder.size(); ++rung) {
+      EXPECT_EQ(&loaded->psr(id, rung), &loaded->base_psr(rung));
+      EXPECT_EQ(&loaded->tp(id, rung), &loaded->base_tp(rung));
+      ExpectPsrEq(loaded->psr(id, rung), built->psr(id, rung));
+      EXPECT_EQ(loaded->quality(id, rung), built->quality(id, rung));
+    }
+  }
+  EXPECT_EQ(SerializedPool(*loaded), SerializedPool(*built));
+}
+
 TEST(SnapshotRoundTripTest, CleanThatShrankScanEndRoundTrips) {
   // Unit masses: saturation drives the Lemma-2 stop, so a clean that
   // makes a top-ranked alternative certain saturates its x-tuple sooner
@@ -470,15 +501,17 @@ TEST(SnapshotCorruptionTest, UnknownFeatureFlagIsDataLoss) {
 }
 
 TEST(SnapshotCorruptionTest, OtherSectionVersionIsDataLossNamingIt) {
-  // A future version, and version 1 -- which stored full-length vectors
-  // and member lists. This reader keeps one decode path, so any version
-  // but its own is refused by section name, even when the bytes happen
-  // to parse, never reinterpreted.
+  // A future version; version 1, which stored full-length vectors and
+  // member lists; and version 2, whose layout parses but whose count
+  // vectors come from the division-form divide-out. This reader keeps
+  // one decode path, so any version but its own is refused by section
+  // name, even when the bytes happen to parse, never reinterpreted.
   TestPool built = MakeServingPool(MakeDb(120), MakeLadder({5}));
   const std::string good = SerializedPool(built.pool);
   Result<store::SnapshotFile> file = store::SnapshotFile::Parse(good);
   ASSERT_TRUE(file.ok());
-  for (const uint32_t version : {store::kSectionVersion + 1, uint32_t{1}}) {
+  for (const uint32_t version :
+       {store::kSectionVersion + 1, uint32_t{1}, uint32_t{2}}) {
     for (const store::SectionEntry& bump : file->sections()) {
       ASSERT_EQ(bump.version, store::kSectionVersion);
       store::SnapshotFileBuilder builder;
