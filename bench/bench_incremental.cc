@@ -1,5 +1,6 @@
-// Measures the incremental cleaning engine (CleaningSession: in-place
-// collapse + checkpointed PSR suffix replay + delta TP) against the
+// Measures the incremental cleaning engine (a one-session SessionPool:
+// copy-on-write overlay + checkpointed PSR suffix replay + delta TP, the
+// loop RunAdaptiveCleaning runs) against the
 // historical from-scratch round loop (deep copy, DatabaseBuilder rebuild,
 // and two full PSR+TP passes per round -- one to plan, one to report
 // quality), on multi-round adaptive sessions over the paper's default
@@ -19,7 +20,7 @@
 #include "bench/bench_util.h"
 #include "clean/agent.h"
 #include "clean/planners.h"
-#include "clean/session.h"
+#include "clean/session_pool.h"
 #include "common/stopwatch.h"
 #include "quality/tp.h"
 #include "workload/cleaning_profile_gen.h"
@@ -95,7 +96,7 @@ Result<ArmResult> RunScratch(const ProbabilisticDatabase& db,
   return arm;
 }
 
-/// Incremental arm: the CleaningSession loop (one partial PSR replay +
+/// Incremental arm: the one-session pool loop (one partial PSR replay +
 /// delta TP per round).
 Result<ArmResult> RunIncremental(const ProbabilisticDatabase& db,
                                  const CleaningProfile& profile, size_t k,
@@ -103,24 +104,28 @@ Result<ArmResult> RunIncremental(const ProbabilisticDatabase& db,
   ArmResult arm;
   Rng rng(kAgentSeed);
   Stopwatch total;
-  Result<CleaningSession> session =
-      CleaningSession::Start(ProbabilisticDatabase(db), k);
+  Result<KLadder> ladder = KLadder::Of({k});
+  if (!ladder.ok()) return ladder.status();
+  Result<bench::OneSessionPool> session =
+      bench::OpenOneSessionPool(db, *ladder);
   if (!session.ok()) return session.status();
+  SessionPool& pool = session->pool;
+  const SessionPool::SessionId id = session->id;
   for (size_t r = 0; r < rounds; ++r) {
     Stopwatch round;
     Result<CleaningProblem> problem =
-        MakeCleaningProblem(session->tp(), profile, round_budget);
+        MakeCleaningProblem(pool.tp(id), profile, round_budget);
     if (!problem.ok()) return problem.status();
     Result<CleaningPlan> plan = PlanGreedy(*problem);
     if (!plan.ok()) return plan.status();
     if (plan->total_cost == 0 || plan->expected_improvement <= 0.0) break;
     Result<SessionExecutionReport> executed =
-        ExecutePlan(&*session, profile, plan->probes, &rng);
+        ExecutePlan(&pool, id, profile, plan->probes, &rng);
     if (!executed.ok()) return executed.status();
-    UCLEAN_RETURN_IF_ERROR(session->Refresh());
+    UCLEAN_RETURN_IF_ERROR(pool.Refresh(id));
     arm.round_ms.push_back(round.ElapsedMillis());
-    arm.round_quality.push_back(session->quality());
-    arm.final_quality = session->quality();
+    arm.round_quality.push_back(pool.quality(id));
+    arm.final_quality = pool.quality(id);
   }
   arm.total_ms = total.ElapsedMillis();
   return arm;
@@ -167,8 +172,8 @@ int main() {
 
   bench::Banner("Incremental engine",
                 "per-round adaptive-session time (ms): from-scratch "
-                "copy-rebuild-rescan loop vs CleaningSession (synthetic "
-                "default, greedy planner)");
+                "copy-rebuild-rescan loop vs a one-session pool "
+                "(synthetic default, greedy planner)");
   bench::Header("k,rounds,round,scratch_ms,incremental_ms,quality");
 
   std::vector<Series> all;

@@ -1,4 +1,4 @@
-// Measures multi-k PSR sharing: ONE ladder CleaningSession (shared scan,
+// Measures multi-k PSR sharing: ONE ladder session (shared scan,
 // shared checkpoints, shared delta-TP omega pass) against two per-k
 // baselines, on session start-up plus 20 cleaning rounds with identical
 // outcome streams:
@@ -7,8 +7,8 @@
 //    ComputePsr + TP pipeline once per rung (what bench_fig5_sharing and
 //    the CLI did for a ladder of queries before this engine existed);
 //  * "per_k sessions" -- the strong baseline: one single-k INCREMENTAL
-//    CleaningSession per rung, each owning its own database copy, engine,
-//    checkpoints and TP state.
+//    session per rung, each a one-session pool owning its own database
+//    copy, engine, checkpoints and TP state.
 //
 // All arms must land on identical per-round qualities at every rung; the
 // bench asserts that to 1e-9 (in practice the trajectories agree bitwise).
@@ -39,7 +39,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "clean/session.h"
+#include "clean/session_pool.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "model/database.h"
@@ -63,9 +63,12 @@ using Round = std::vector<std::pair<XTupleId, TupleId>>;
 /// distribution.
 Result<std::vector<Round>> DrawOutcomeSchedule(const ProbabilisticDatabase& db,
                                                const KLadder& ladder) {
-  Result<CleaningSession> session =
-      CleaningSession::Start(ProbabilisticDatabase(db), ladder);
+  Result<bench::OneSessionPool> session =
+      bench::OpenOneSessionPool(db, ladder);
   if (!session.ok()) return session.status();
+  SessionPool& pool = session->pool;
+  const SessionPool::SessionId id = session->id;
+  const DatabaseOverlay& view = pool.overlay(id);
   Rng rng(kOutcomeSeed);
   std::vector<Round> schedule;
   for (size_t r = 0; r < kRounds; ++r) {
@@ -74,7 +77,7 @@ Result<std::vector<Round>> DrawOutcomeSchedule(const ProbabilisticDatabase& db,
     // (elsewhere a clean is a provable no-op): cleans land anywhere in the
     // scanned prefix, like an agent probing what users ask about, so
     // replays exercise the whole suffix-length spectrum.
-    const TpOutput& tp = session->tp(session->num_rungs() - 1);
+    const TpOutput& tp = pool.tp(id, pool.num_rungs() - 1);
     for (size_t c = 0; c < kCleansPerRound; ++c) {
       std::vector<double> weights(tp.xtuple_topk_mass.size(), 0.0);
       for (size_t l = 0; l < weights.size(); ++l) {
@@ -83,31 +86,28 @@ Result<std::vector<Round>> DrawOutcomeSchedule(const ProbabilisticDatabase& db,
       for (const auto& outcome : round) weights[outcome.first] = 0.0;
       double total = 0.0;
       for (size_t l = 0; l < weights.size(); ++l) {
-        const auto& members =
-            session->db().xtuple_members(static_cast<XTupleId>(l));
-        if (members.size() == 1 &&
-            session->db().tuple(members[0]).prob >= 1.0) {
+        const auto& members = view.xtuple_members(static_cast<XTupleId>(l));
+        if (members.size() == 1 && view.tuple(members[0]).prob >= 1.0) {
           weights[l] = 0.0;  // already certain
         }
         total += weights[l];
       }
       if (total <= 0.0) break;
       const XTupleId l = static_cast<XTupleId>(rng.Discrete(weights));
-      const auto& members = session->db().xtuple_members(l);
+      const auto& members = view.xtuple_members(l);
       std::vector<double> alt_weights;
       alt_weights.reserve(members.size());
       for (int32_t idx : members) {
-        alt_weights.push_back(session->db().tuple(idx).prob);
+        alt_weights.push_back(view.tuple(idx).prob);
       }
-      const Tuple& revealed =
-          session->db().tuple(members[rng.Discrete(alt_weights)]);
+      const Tuple& revealed = view.tuple(members[rng.Discrete(alt_weights)]);
       round.emplace_back(l, revealed.id);
     }
     if (round.empty()) break;
     for (const auto& [xtuple, resolved] : round) {
-      UCLEAN_RETURN_IF_ERROR(session->ApplyCleanOutcome(xtuple, resolved));
+      UCLEAN_RETURN_IF_ERROR(pool.ApplyCleanOutcome(id, xtuple, resolved));
     }
-    UCLEAN_RETURN_IF_ERROR(session->Refresh());
+    UCLEAN_RETURN_IF_ERROR(pool.Refresh(id));
     schedule.push_back(std::move(round));
   }
   return schedule;
@@ -127,20 +127,22 @@ Result<ArmResult> RunShared(const ProbabilisticDatabase& db,
                             const std::vector<Round>& schedule) {
   ArmResult arm;
   Stopwatch create;
-  Result<CleaningSession> session =
-      CleaningSession::Start(ProbabilisticDatabase(db), ladder);
+  Result<bench::OneSessionPool> session =
+      bench::OpenOneSessionPool(db, ladder);
   if (!session.ok()) return session.status();
+  SessionPool& pool = session->pool;
+  const SessionPool::SessionId id = session->id;
   arm.create_ms = create.ElapsedMillis();
 
   Stopwatch rounds;
   for (const Round& round : schedule) {
     for (const auto& [xtuple, resolved] : round) {
-      UCLEAN_RETURN_IF_ERROR(session->ApplyCleanOutcome(xtuple, resolved));
+      UCLEAN_RETURN_IF_ERROR(pool.ApplyCleanOutcome(id, xtuple, resolved));
     }
-    UCLEAN_RETURN_IF_ERROR(session->Refresh());
+    UCLEAN_RETURN_IF_ERROR(pool.Refresh(id));
     std::vector<double> qualities;
     for (size_t rung = 0; rung < ladder.size(); ++rung) {
-      qualities.push_back(session->quality(rung));
+      qualities.push_back(pool.quality(id, rung));
     }
     arm.quality.push_back(std::move(qualities));
   }
@@ -184,18 +186,20 @@ Result<ArmResult> RunPerKRescan(const ProbabilisticDatabase& db,
 }
 
 /// Per-k session arm (the strong baseline): one single-k INCREMENTAL
-/// session per rung, each with its own database copy, engine and TP
-/// state, all fed the same outcomes.
+/// session per rung, each a one-session pool with its own database copy,
+/// engine and TP state, all fed the same outcomes.
 Result<ArmResult> RunPerK(const ProbabilisticDatabase& db,
                           const KLadder& ladder,
                           const std::vector<Round>& schedule) {
   ArmResult arm;
   Stopwatch create;
-  std::vector<CleaningSession> sessions;
+  std::vector<bench::OneSessionPool> sessions;
   sessions.reserve(ladder.size());
   for (size_t rung = 0; rung < ladder.size(); ++rung) {
-    Result<CleaningSession> session =
-        CleaningSession::Start(ProbabilisticDatabase(db), ladder[rung]);
+    Result<KLadder> single = KLadder::Of({ladder[rung]});
+    if (!single.ok()) return single.status();
+    Result<bench::OneSessionPool> session =
+        bench::OpenOneSessionPool(db, *single);
     if (!session.ok()) return session.status();
     sessions.push_back(std::move(session).value());
   }
@@ -204,12 +208,13 @@ Result<ArmResult> RunPerK(const ProbabilisticDatabase& db,
   Stopwatch rounds;
   for (const Round& round : schedule) {
     std::vector<double> qualities;
-    for (CleaningSession& session : sessions) {
+    for (bench::OneSessionPool& session : sessions) {
       for (const auto& [xtuple, resolved] : round) {
-        UCLEAN_RETURN_IF_ERROR(session.ApplyCleanOutcome(xtuple, resolved));
+        UCLEAN_RETURN_IF_ERROR(
+            session.pool.ApplyCleanOutcome(session.id, xtuple, resolved));
       }
-      UCLEAN_RETURN_IF_ERROR(session.Refresh());
-      qualities.push_back(session.quality());
+      UCLEAN_RETURN_IF_ERROR(session.pool.Refresh(session.id));
+      qualities.push_back(session.pool.quality(session.id));
     }
     arm.quality.push_back(std::move(qualities));
   }
@@ -281,10 +286,12 @@ Result<Series> RunSeries(const std::string& workload,
   series.speedup_vs_sessions =
       shared_median > 0.0 ? per_k_median / shared_median : 0.0;
 
+  Result<KLadder> kmax = KLadder::Of({ladder.max_k()});
+  if (!kmax.ok()) return kmax.status();
   series.kmax_create_ms = bench::MedianMillis(
       [&] {
-        Result<CleaningSession> single =
-            CleaningSession::Start(ProbabilisticDatabase(db), ladder.max_k());
+        Result<bench::OneSessionPool> single =
+            bench::OpenOneSessionPool(db, *kmax);
         UCLEAN_CHECK(single.ok());
       },
       3);

@@ -1,7 +1,7 @@
 // Measures the SessionPool: N concurrent cleaning sessions over ONE
-// shared base database and ONE checkpointed ladder scan, against the
-// status quo of N dedicated CleaningSessions (each paying its own
-// database copy, full PSR scan, checkpoint set and TP pass), on session
+// shared base database and ONE checkpointed ladder scan, against N
+// dedicated sessions -- N one-session pools, each paying its own
+// database copy, full PSR scan, checkpoint set and TP pass -- on session
 // start-up plus cleaning rounds with identical per-session outcome
 // streams.
 //
@@ -20,9 +20,9 @@
 // sessions).
 //
 // All arms must land on identical per-session per-round qualities at
-// every rung; the bench asserts that to 1e-12 (in practice the
-// trajectories agree bitwise -- same scan arithmetic, same restored
-// snapshots).
+// every rung; the bench asserts that to 1e-12 and tools/check_bench.py
+// gates the recorded difference at exactly 0 (same scan arithmetic, same
+// restored snapshots).
 //
 // Output: a per-series table on stdout and a machine-readable
 // BENCH_pool.json gated by tools/check_bench.py in CI. Acceptance
@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "clean/session.h"
 #include "clean/session_pool.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
@@ -67,21 +66,24 @@ using Round = std::vector<std::pair<XTupleId, TupleId>>;
 using Schedule = std::vector<Round>;
 
 /// Draws one session-lifetime's schedule, untimed, by walking a scratch
-/// dedicated session: each round cleans up to kCleansPerRound x-tuples
+/// one-session pool: each round cleans up to kCleansPerRound x-tuples
 /// drawn uniformly over those the deepest rung's scan reaches, resolved
 /// by their existential distribution. Distinct seeds per lifetime give
 /// the pool genuinely divergent concurrent views.
 Result<Schedule> DrawSchedule(const ProbabilisticDatabase& db,
                               const KLadder& ladder, size_t rounds,
                               size_t seed_index) {
-  Result<CleaningSession> session =
-      CleaningSession::Start(ProbabilisticDatabase(db), ladder);
+  Result<bench::OneSessionPool> session =
+      bench::OpenOneSessionPool(db, ladder);
   if (!session.ok()) return session.status();
+  SessionPool& pool = session->pool;
+  const SessionPool::SessionId id = session->id;
+  const DatabaseOverlay& view = pool.overlay(id);
   Rng rng(kOutcomeSeed + 7919 * seed_index);
   Schedule schedule;
   for (size_t r = 0; r < rounds; ++r) {
     Round round;
-    const TpOutput& tp = session->tp(session->num_rungs() - 1);
+    const TpOutput& tp = pool.tp(id, pool.num_rungs() - 1);
     for (size_t c = 0; c < kCleansPerRound; ++c) {
       std::vector<double> weights(tp.xtuple_topk_mass.size(), 0.0);
       for (size_t l = 0; l < weights.size(); ++l) {
@@ -90,31 +92,28 @@ Result<Schedule> DrawSchedule(const ProbabilisticDatabase& db,
       for (const auto& outcome : round) weights[outcome.first] = 0.0;
       double total = 0.0;
       for (size_t l = 0; l < weights.size(); ++l) {
-        const auto& members =
-            session->db().xtuple_members(static_cast<XTupleId>(l));
-        if (members.size() == 1 &&
-            session->db().tuple(members[0]).prob >= 1.0) {
+        const auto& members = view.xtuple_members(static_cast<XTupleId>(l));
+        if (members.size() == 1 && view.tuple(members[0]).prob >= 1.0) {
           weights[l] = 0.0;  // already certain
         }
         total += weights[l];
       }
       if (total <= 0.0) break;
       const XTupleId l = static_cast<XTupleId>(rng.Discrete(weights));
-      const auto& members = session->db().xtuple_members(l);
+      const auto& members = view.xtuple_members(l);
       std::vector<double> alt_weights;
       alt_weights.reserve(members.size());
       for (int32_t idx : members) {
-        alt_weights.push_back(session->db().tuple(idx).prob);
+        alt_weights.push_back(view.tuple(idx).prob);
       }
-      const Tuple& revealed =
-          session->db().tuple(members[rng.Discrete(alt_weights)]);
+      const Tuple& revealed = view.tuple(members[rng.Discrete(alt_weights)]);
       round.emplace_back(l, revealed.id);
     }
     if (round.empty()) break;
     for (const auto& [xtuple, resolved] : round) {
-      UCLEAN_RETURN_IF_ERROR(session->ApplyCleanOutcome(xtuple, resolved));
+      UCLEAN_RETURN_IF_ERROR(pool.ApplyCleanOutcome(id, xtuple, resolved));
     }
-    UCLEAN_RETURN_IF_ERROR(session->Refresh());
+    UCLEAN_RETURN_IF_ERROR(pool.Refresh(id));
     schedule.push_back(std::move(round));
   }
   return schedule;
@@ -129,7 +128,7 @@ struct ArmResult {
 };
 
 /// Dedicated arm: every wave starts (and tears down) one full
-/// CleaningSession per concurrent user.
+/// one-session pool per concurrent user.
 Result<ArmResult> RunDedicated(
     const ProbabilisticDatabase& db, const KLadder& ladder,
     const std::vector<std::vector<Schedule>>& waves) {
@@ -138,11 +137,11 @@ Result<ArmResult> RunDedicated(
     arm.quality.resize(arm.quality.size() + wave.size());
     const size_t base_index = arm.quality.size() - wave.size();
     Stopwatch create;
-    std::vector<CleaningSession> sessions;
+    std::vector<bench::OneSessionPool> sessions;
     sessions.reserve(wave.size());
     for (size_t s = 0; s < wave.size(); ++s) {
-      Result<CleaningSession> session =
-          CleaningSession::Start(ProbabilisticDatabase(db), ladder);
+      Result<bench::OneSessionPool> session =
+          bench::OpenOneSessionPool(db, ladder);
       if (!session.ok()) return session.status();
       sessions.push_back(std::move(session).value());
     }
@@ -157,14 +156,15 @@ Result<ArmResult> RunDedicated(
       // Interleave sessions within the round, like concurrent analysts.
       for (size_t s = 0; s < wave.size(); ++s) {
         if (r >= wave[s].size()) continue;
+        SessionPool& own = sessions[s].pool;
+        const SessionPool::SessionId id = sessions[s].id;
         for (const auto& [xtuple, resolved] : wave[s][r]) {
-          UCLEAN_RETURN_IF_ERROR(
-              sessions[s].ApplyCleanOutcome(xtuple, resolved));
+          UCLEAN_RETURN_IF_ERROR(own.ApplyCleanOutcome(id, xtuple, resolved));
         }
-        UCLEAN_RETURN_IF_ERROR(sessions[s].Refresh());
+        UCLEAN_RETURN_IF_ERROR(own.Refresh(id));
         std::vector<double> qualities;
         for (size_t rung = 0; rung < ladder.size(); ++rung) {
-          qualities.push_back(sessions[s].quality(rung));
+          qualities.push_back(own.quality(id, rung));
         }
         arm.quality[base_index + s].push_back(std::move(qualities));
       }
@@ -349,7 +349,7 @@ int main() {
   bench::Banner(
       "Session pool",
       "N concurrent cleaning sessions over one shared scan (SessionPool) "
-      "vs N dedicated CleaningSessions; identical per-session outcome "
+      "vs N one-session pools; identical per-session outcome "
       "streams, oneshot (4 waves x 1 round), interactive (4 waves x 2 "
       "rounds) and batch (1 wave x 10 rounds) regimes");
   bench::Header(

@@ -8,8 +8,9 @@
 //            cost every serving path pays, and the rank-range shards
 //            carry almost all of its work.
 //   ladder   a 4-rung ladder engine: checkpointed Create plus one
-//            batched suffix Replay after shallow cleans -- the
-//            incremental serving path, sharded end to end.
+//            batched session suffix replay (ReplaySession) after
+//            shallow cleans -- the incremental cleaning path, sharded
+//            end to end.
 //   pooled   a SessionPool with 8 dirty sessions brought forward by ONE
 //            RefreshAll -- the parallelism budget spent across whole
 //            sessions rather than within one scan.
@@ -42,6 +43,7 @@
 #include "common/rng.h"
 #include "exec/thread_pool.h"
 #include "model/database.h"
+#include "model/database_overlay.h"
 #include "rank/psr.h"
 #include "rank/psr_engine.h"
 #include "workload/synthetic.h"
@@ -142,7 +144,7 @@ Result<std::vector<Series>> RunOneshot(const ProbabilisticDatabase& db,
 // ---------------------------------------------------------------- ladder
 
 /// Shallow-rank cleans for the replay half: collapsing early x-tuples
-/// invalidates almost the whole checkpoint suffix, so the timed Replay
+/// invalidates almost the whole checkpoint suffix, so the timed replay
 /// re-scans nearly the full depth -- the worst case sharding must carry.
 std::vector<std::pair<XTupleId, TupleId>> DrawCleans(
     const ProbabilisticDatabase& db, size_t count, uint64_t seed) {
@@ -165,25 +167,28 @@ Result<std::vector<Series>> RunLadder(const ProbabilisticDatabase& db,
   UCLEAN_CHECK(ladder.ok());
   const auto cleans = DrawCleans(db, 4, kOutcomeSeed);
 
-  /// One full serving cycle: checkpointed create, a round of cleans,
-  /// one batched suffix replay. Returns the final outputs.
+  /// One full cleaning cycle: checkpointed create, a round of cleans in
+  /// a session overlay, one batched suffix replay of the session.
+  /// Returns the session's final outputs.
   const auto cycle =
       [&](const ExecOptions& exec) -> Result<std::vector<PsrOutput>> {
-    ProbabilisticDatabase working(db);
     ScanRequest request;
     request.ladder = *ladder;
     request.exec = exec;
-    Result<PsrEngine> engine = PsrEngine::Create(working, request);
+    Result<PsrEngine> engine = PsrEngine::Create(db, request);
     if (!engine.ok()) return engine.status();
-    size_t first_changed = working.num_tuples();
+    DatabaseOverlay overlay(&db);
+    size_t first_changed = db.num_tuples();
     for (const auto& [xtuple, resolved] : cleans) {
       Result<ProbabilisticDatabase::CleanOutcomeDelta> delta =
-          working.ApplyCleanOutcome(xtuple, resolved);
+          overlay.ApplyCleanOutcome(xtuple, resolved);
       if (!delta.ok()) return delta.status();
       first_changed = std::min(first_changed, delta->first_changed_rank);
     }
-    UCLEAN_RETURN_IF_ERROR(engine->Replay(working, first_changed));
-    return engine->outputs();
+    PsrEngine::SessionState state = engine->ForkSession();
+    UCLEAN_RETURN_IF_ERROR(
+        engine->ReplaySession(overlay, first_changed, &state));
+    return state.outputs();
   };
 
   Result<std::vector<PsrOutput>> reference = cycle(Threads(1));

@@ -1,6 +1,7 @@
 // Shared helpers for the figure-regeneration harnesses: repetition-median
-// timing and uniform series printing, so every bench emits the same
-// machine-readable table format.
+// timing, uniform series printing (so every bench emits the same
+// machine-readable table format), and the one-session pool that stands
+// for a dedicated cleaning session.
 
 #ifndef UCLEAN_BENCH_BENCH_UTIL_H_
 #define UCLEAN_BENCH_BENCH_UTIL_H_
@@ -12,7 +13,9 @@
 #include <utility>
 #include <vector>
 
+#include "clean/session_pool.h"
 #include "common/stopwatch.h"
+#include "model/database.h"
 #include "rank/kernel.h"
 #include "rank/psr.h"
 
@@ -27,6 +30,24 @@ inline const char* ResolvedKernelName() {
   Result<const psr_internal::ScanKernel*> kernel =
       SelectScanKernel(KernelKind::kAuto);
   return kernel.ok() ? (*kernel)->name : "scalar";
+}
+
+/// A dedicated cleaning session: a pool of its own holding one session,
+/// paying the full scan, checkpoint set and TP pass at Create.
+struct OneSessionPool {
+  SessionPool pool;
+  SessionPool::SessionId id = 0;
+};
+
+/// Copies `db` into a fresh one-session pool serving `ladder`.
+inline Result<OneSessionPool> OpenOneSessionPool(
+    const ProbabilisticDatabase& db, const KLadder& ladder) {
+  Result<SessionPool> pool =
+      SessionPool::Create(ProbabilisticDatabase(db), ladder);
+  if (!pool.ok()) return pool.status();
+  OneSessionPool out{std::move(pool).value()};
+  out.id = out.pool.OpenSession();
+  return out;
 }
 
 /// Single-k scan through the request API (rank/psr.h).

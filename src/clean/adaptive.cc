@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "clean/fault.h"
-#include "clean/session.h"
+#include "clean/session_pool.h"
 #include "quality/tp.h"
 
 namespace uclean {
@@ -16,30 +16,32 @@ namespace {
 /// weight definition), so predicted improvements and realized quality
 /// deltas are directly comparable. Reduces to the plain quality for
 /// single-k runs under uniform weights.
-double AggregateQuality(const CleaningSession& session,
+double AggregateQuality(const SessionPool& pool, SessionPool::SessionId id,
                         const std::vector<double>& weights) {
-  const size_t rungs = session.num_rungs();
+  const size_t rungs = pool.num_rungs();
   double total = 0.0;
   for (size_t j = 0; j < rungs; ++j) {
-    total += LadderRungWeight(weights, rungs, j) * session.quality(j);
+    total += LadderRungWeight(weights, rungs, j) * pool.quality(id, j);
   }
   return total;
 }
 
-void FillPerRung(const CleaningSession& session, std::vector<double>* out) {
+void FillPerRung(const SessionPool& pool, SessionPool::SessionId id,
+                 std::vector<double>* out) {
   out->clear();
-  for (size_t j = 0; j < session.num_rungs(); ++j) {
-    out->push_back(session.quality(j));
+  for (size_t j = 0; j < pool.num_rungs(); ++j) {
+    out->push_back(pool.quality(id, j));
   }
 }
 
 }  // namespace
 
-Result<AdaptiveReport> RunAdaptiveCleaning(ProbabilisticDatabase&& db,
+Result<AdaptiveReport> RunAdaptiveCleaning(ProbabilisticDatabase db,
                                            const CleaningProfile& profile,
                                            int64_t budget,
                                            const AdaptiveOptions& options,
                                            Rng* rng) {
+  if (budget < 0) return Status::InvalidArgument("budget must be >= 0");
   UCLEAN_RETURN_IF_ERROR(profile.Validate(db.num_xtuples()));
 
   Result<KLadder> ladder = KLadder::Of(
@@ -70,17 +72,18 @@ Result<AdaptiveReport> RunAdaptiveCleaning(ProbabilisticDatabase&& db,
     probe_options.fault = &*injector;
   }
 
-  CleaningSession::Options session_options;
-  session_options.exec = options.exec;
-  Result<CleaningSession> session =
-      CleaningSession::Start(std::move(db), *ladder, session_options);
-  if (!session.ok()) return session.status();
+  SessionPool::Options pool_options;
+  pool_options.exec = options.exec;
+  Result<SessionPool> pool =
+      SessionPool::Create(std::move(db), *ladder, pool_options);
+  if (!pool.ok()) return pool.status();
+  const SessionPool::SessionId id = pool->OpenSession();
 
   AdaptiveReport report;
   report.ladder = ladder->ks;
-  report.initial_quality = AggregateQuality(*session, options.plan_weights);
+  report.initial_quality = AggregateQuality(*pool, id, options.plan_weights);
   report.final_quality = report.initial_quality;
-  FillPerRung(*session, &report.initial_quality_per_k);
+  FillPerRung(*pool, id, &report.initial_quality_per_k);
   report.final_quality_per_k = report.initial_quality_per_k;
 
   int64_t remaining = budget;
@@ -91,7 +94,7 @@ Result<AdaptiveReport> RunAdaptiveCleaning(ProbabilisticDatabase&& db,
     // whole round performs at most one (partial) PSR pass however many
     // rungs the ladder has.
     Result<CleaningProblem> problem = MakeCleaningProblem(
-        session->tps(), options.plan_weights, profile, remaining);
+        pool->tps(id), options.plan_weights, profile, remaining);
     if (!problem.ok()) return problem.status();
     // Degradation: sources with an open breaker cannot answer this round,
     // so their gain is masked and the planner reinvests the budget in the
@@ -112,18 +115,18 @@ Result<AdaptiveReport> RunAdaptiveCleaning(ProbabilisticDatabase&& db,
     }
 
     Result<SessionExecutionReport> executed =
-        ExecutePlan(&*session, profile, plan->probes, rng, probe_options);
+        ExecutePlan(&*pool, id, profile, plan->probes, rng, probe_options);
     if (!executed.ok()) return executed.status();
     // A round that spent nothing AND had nothing blocked by faults made no
     // progress and never will; a blocked round keeps going -- its budget
     // is still unspent and the blocked sources may recover.
     if (executed->spent == 0 && executed->faults.BlockedProbes() == 0) break;
 
-    UCLEAN_RETURN_IF_ERROR(session->Refresh());
+    UCLEAN_RETURN_IF_ERROR(pool->Refresh(id));
     remaining -= executed->spent;
     report.total_spent += executed->spent;
-    report.final_quality = AggregateQuality(*session, options.plan_weights);
-    FillPerRung(*session, &report.final_quality_per_k);
+    report.final_quality = AggregateQuality(*pool, id, options.plan_weights);
+    FillPerRung(*pool, id, &report.final_quality_per_k);
 
     AdaptiveRound summary;
     summary.budget_before = remaining + executed->spent;
@@ -136,17 +139,10 @@ Result<AdaptiveReport> RunAdaptiveCleaning(ProbabilisticDatabase&& db,
     report.faults += executed->faults;
     report.rounds.push_back(summary);
   }
-  report.final_db = std::move(*session).TakeDatabase();
+  Result<ProbabilisticDatabase> final_db = pool->CloseAndMerge(id);
+  if (!final_db.ok()) return final_db.status();
+  report.final_db = std::move(final_db).value();
   return report;
-}
-
-Result<AdaptiveReport> RunAdaptiveCleaning(const ProbabilisticDatabase& db,
-                                           const CleaningProfile& profile,
-                                           int64_t budget,
-                                           const AdaptiveOptions& options,
-                                           Rng* rng) {
-  return RunAdaptiveCleaning(ProbabilisticDatabase(db), profile, budget,
-                             options, rng);
 }
 
 }  // namespace uclean

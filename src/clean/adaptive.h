@@ -9,12 +9,14 @@
 // x-tuple can still improve the query. The ablation bench quantifies the
 // realized-quality advantage over one-shot planning.
 //
-// The loop runs on the incremental CleaningSession: the database is
-// mutated in place (no per-round copy or builder round-trip), each round
-// costs at most one partial PSR replay + delta TP pass, and that one
-// refreshed TP state feeds both the round's quality report and the next
-// round's CleaningProblem. bench_incremental measures the win over the
-// historical copy-rebuild-rescan loop.
+// The loop runs on a one-session SessionPool (clean/session_pool.h): the
+// session's outcomes land in its copy-on-write overlay (no per-round copy
+// or builder round-trip), each round costs at most one partial PSR replay
+// + delta TP pass, and that one refreshed TP state feeds both the round's
+// quality report and the next round's CleaningProblem. The cleaned
+// database is materialized once, by CloseAndMerge, when the loop ends.
+// bench_incremental measures the win over the historical
+// copy-rebuild-rescan loop.
 //
 // Multi-k: with AdaptiveOptions::k_ladder the session serves a whole
 // ladder of top-k queries from one shared scan, the planner optimizes a
@@ -59,8 +61,8 @@ struct AdaptiveOptions {
   size_t max_rounds = 64;
 
   /// Execution mode for the session's scans, replays and TP passes
-  /// (CleaningSession::Options::exec); the sequential default and any
-  /// thread count produce bitwise-identical state.
+  /// (SessionPool::Options::exec); the sequential default and any thread
+  /// count produce bitwise-identical state.
   ExecOptions exec;
 
   /// Fault injection + retry/deadline/breaker policy for the probe loop
@@ -106,9 +108,9 @@ struct AdaptiveReport {
   FaultStats faults;
 };
 
-/// Runs the adaptive plan/execute loop on `db` with total budget `budget`.
-/// The rvalue overload moves the database into the session instead of
-/// copying it; prefer it when the caller is done with `db`.
+/// Runs the adaptive plan/execute loop on `db` with total budget `budget`
+/// (InvalidArgument when negative). Move the database in when the caller
+/// no longer needs its copy.
 ///
 /// Threading: a pure function of its arguments -- concurrent calls on
 /// DISTINCT (db, rng) pairs are safe; two calls must never share an Rng.
@@ -116,12 +118,7 @@ struct AdaptiveReport {
 /// scans); the probe loop itself runs inline. For overlapping probe
 /// waiting with planning across many concurrent sessions, use the pooled
 /// driver in clean/pipeline.h instead.
-Result<AdaptiveReport> RunAdaptiveCleaning(ProbabilisticDatabase&& db,
-                                           const CleaningProfile& profile,
-                                           int64_t budget,
-                                           const AdaptiveOptions& options,
-                                           Rng* rng);
-Result<AdaptiveReport> RunAdaptiveCleaning(const ProbabilisticDatabase& db,
+Result<AdaptiveReport> RunAdaptiveCleaning(ProbabilisticDatabase db,
                                            const CleaningProfile& profile,
                                            int64_t budget,
                                            const AdaptiveOptions& options,

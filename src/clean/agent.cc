@@ -184,15 +184,6 @@ Status ApplyDraws(const ProbeDraws& draws, ApplyOutcomeFn apply) {
 
 }  // namespace
 
-Result<ProbeDraws> DrawProbes(const ProbabilisticDatabase& db,
-                              const CleaningProfile& profile,
-                              const std::vector<int64_t>& probes, Rng* rng,
-                              const ProbeOptions& options) {
-  UCLEAN_RETURN_IF_ERROR(
-      ValidateProbeInputs(db.num_xtuples(), profile, probes, rng));
-  return RunDraws(db, profile, probes, rng, options);
-}
-
 Result<ProbeDraws> DrawProbes(const DatabaseOverlay& view,
                               const CleaningProfile& profile,
                               const std::vector<int64_t>& probes, Rng* rng,
@@ -310,26 +301,6 @@ Result<ExecutionReport> ExecutePlan(const ProbabilisticDatabase& db,
   report.log = std::move(draws->report.log);
   report.faults = draws->report.faults;
   return report;
-}
-
-Result<SessionExecutionReport> ExecutePlan(CleaningSession* session,
-                                           const CleaningProfile& profile,
-                                           const std::vector<int64_t>& probes,
-                                           Rng* rng,
-                                           const ProbeOptions& options) {
-  if (session == nullptr) {
-    return Status::InvalidArgument("ExecutePlan requires a session");
-  }
-  UCLEAN_RETURN_IF_ERROR(
-      ValidateProbeInputs(session->db().num_xtuples(), profile, probes, rng));
-  Result<ProbeDraws> draws =
-      RunDraws(session->db(), profile, probes, rng, options);
-  if (!draws.ok()) return draws.status();
-  UCLEAN_RETURN_IF_ERROR(ApplyDraws(
-      *draws, [session](XTupleId l, TupleId resolved_id) -> Status {
-        return session->ApplyCleanOutcome(l, resolved_id);
-      }));
-  return std::move(draws->report);
 }
 
 Result<SessionExecutionReport> ExecutePlan(SessionPool* pool,

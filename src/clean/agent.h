@@ -69,7 +69,6 @@
 
 #include "clean/fault.h"
 #include "clean/problem.h"
-#include "clean/session.h"
 #include "clean/session_pool.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -113,10 +112,10 @@ struct ExecutionReport {
   FaultStats faults;          ///< all zero without a FaultInjector
 };
 
-/// Outcome of executing a plan inside a cleaning session: like
-/// ExecutionReport, but the cleaned database lives in the session (no
+/// Outcome of executing a plan inside a pooled cleaning session: like
+/// ExecutionReport, but the outcomes live in the session's overlay (no
 /// copy is made) and its PSR/TP refresh is deferred to
-/// CleaningSession::Refresh.
+/// SessionPool::Refresh.
 struct SessionExecutionReport {
   int64_t spent = 0;
   int64_t leftover = 0;
@@ -148,14 +147,9 @@ struct ProbeDraws {
   std::vector<std::pair<XTupleId, TupleId>> outcomes;
 };
 
-/// Runs the probe loop against a fixed view without applying anything.
-/// Pure except for `rng` (advanced) and the simulated latency; never
-/// touches the view. The overlay form is the pooled-session draw phase;
-/// the database form serves dedicated sessions and tests.
-Result<ProbeDraws> DrawProbes(const ProbabilisticDatabase& db,
-                              const CleaningProfile& profile,
-                              const std::vector<int64_t>& probes, Rng* rng,
-                              const ProbeOptions& options = {});
+/// Runs the probe loop against a session's fixed view without applying
+/// anything: the pooled-session draw phase. Pure except for `rng`
+/// (advanced) and the simulated latency; never touches the view.
 Result<ProbeDraws> DrawProbes(const DatabaseOverlay& view,
                               const CleaningProfile& profile,
                               const std::vector<int64_t>& probes, Rng* rng,
@@ -227,22 +221,14 @@ Result<ExecutionReport> ExecutePlan(const ProbabilisticDatabase& db,
                                     Rng* rng,
                                     const ProbeOptions& options = {});
 
-/// Session form: applies each successful outcome to `session` in place
-/// and leaves the state refresh to the caller. Draws the same random
-/// stream as the database overload, so a from-scratch and an incremental
-/// run with equal seeds execute identical probe sequences.
-Result<SessionExecutionReport> ExecutePlan(CleaningSession* session,
-                                           const CleaningProfile& profile,
-                                           const std::vector<int64_t>& probes,
-                                           Rng* rng,
-                                           const ProbeOptions& options = {});
-
-/// Pooled-session form: probes against session `id`'s own overlay view
-/// (base + its previous outcomes) and records each success in that
-/// overlay only; the shared base and every other session are untouched.
-/// Same fixed random-stream order as the other overloads; implemented as
-/// DrawProbes + CommitProbeDraws, so an inline execution and a pipelined
-/// one are the same arithmetic by construction.
+/// Session form: probes against session `id`'s own overlay view (base +
+/// its previous outcomes) and records each success in that overlay only;
+/// the shared base and every other session are untouched, and the state
+/// refresh is left to the caller. Draws the same random stream as the
+/// database overload, so a one-shot and an incremental run with equal
+/// seeds execute identical probe sequences. Implemented as DrawProbes +
+/// CommitProbeDraws, so an inline execution and a pipelined one are the
+/// same arithmetic by construction.
 Result<SessionExecutionReport> ExecutePlan(SessionPool* pool,
                                            SessionPool::SessionId id,
                                            const CleaningProfile& profile,

@@ -34,6 +34,7 @@ Result<PipelineReport> RunPipelinedCleaning(
     return Status::InvalidArgument(
         "RunPipelinedCleaning requires one Rng per session");
   }
+  if (budget < 0) return Status::InvalidArgument("budget must be >= 0");
   for (SessionPool::SessionId id : ids) {
     if (!pool->is_open(id)) {
       return Status::InvalidArgument("session " + std::to_string(id) +

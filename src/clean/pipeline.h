@@ -63,8 +63,8 @@ struct PipelineOptions {
   DpOptions dp_options;
 
   /// Per-session round cap; defaults to the adaptive loop's own cap
-  /// (read from it, not duplicated) so pooled and dedicated paths can
-  /// never drift apart.
+  /// (read from it, not duplicated) so the pipelined and the one-session
+  /// loops can never drift apart.
   size_t max_rounds = AdaptiveOptions().max_rounds;
 
   /// Per-rung planning weights for the ladder aggregate (empty =
@@ -143,7 +143,8 @@ struct PipelineReport {
 };
 
 /// Runs the adaptive plan/probe/refresh loop for the open sessions `ids`
-/// of `pool`, each with its own budget `budget` and its own Rng
+/// of `pool`, each with its own budget `budget` (InvalidArgument when
+/// negative) and its own Rng
 /// (*rngs)[s] -- rngs must have one entry per id and outlives the call.
 /// Sessions must be open and clean (refreshed); they are left open and
 /// clean, so the caller can inspect pool state or CloseAndMerge

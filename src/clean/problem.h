@@ -99,7 +99,7 @@ Result<CleaningProblem> MakeCleaningProblem(const ProbabilisticDatabase& db,
                                             int64_t budget);
 
 /// Builds a CleaningProblem from an already-computed TP pass (e.g. the
-/// state a CleaningSession maintains incrementally), so adaptive rounds
+/// state a SessionPool session maintains incrementally), so adaptive rounds
 /// never re-run PSR just to plan. `tp` must describe the database the
 /// profile was generated for.
 Result<CleaningProblem> MakeCleaningProblem(const TpOutput& tp,

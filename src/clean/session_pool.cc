@@ -7,14 +7,6 @@
 
 namespace uclean {
 
-Result<SessionPool> SessionPool::Create(ProbabilisticDatabase base, size_t k,
-                                        const Options& options) {
-  if (k == 0) return Status::InvalidArgument("k must be positive");
-  KLadder ladder;
-  ladder.ks = {k};
-  return Create(std::move(base), ladder, options);
-}
-
 Result<SessionPool> SessionPool::Create(ProbabilisticDatabase base,
                                         const KLadder& ladder,
                                         const Options& options) {

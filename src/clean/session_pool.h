@@ -1,36 +1,38 @@
 // SessionPool: N concurrent cleaning sessions over ONE shared base
-// database and ONE ladder PsrEngine checkpoint set.
+// database and ONE ladder PsrEngine checkpoint set -- the library's one
+// mutation model. A single cleaning campaign (RunAdaptiveCleaning) is a
+// one-session pool; serving, pipelined campaigns and snapshots run the
+// same code with more sessions.
 //
-// A dedicated CleaningSession per analyst pays, per session, a full
-// database copy, a full O(k n) PSR scan, a checkpoint set and a full TP
-// pass before the first probe lands. The paper's cleaning loop assumes
-// one analyst per database (Sec. V); serving many concurrent users that
-// way multiplies the whole start-up cost by the user count. The pool
-// amortizes it instead:
+// The paper's cleaning loop assumes one analyst per database (Sec. V).
+// Giving every analyst a private database copy, a full O(k n) PSR scan,
+// a checkpoint set and a full TP pass multiplies the whole start-up cost
+// by the user count. The pool amortizes it instead:
 //
 //  * ONE base ProbabilisticDatabase, never mutated. Each session's clean
 //    outcomes live in its own copy-on-write DatabaseOverlay
 //    (model/database_overlay.h): overlay tombstones + patched resolved
 //    tuples, rank indices stable, base untouched.
-//  * ONE ladder PsrEngine over the base, scanned and checkpointed once.
-//    Opening a session is O(1) (copy on first write): a pristine session
-//    owns no scan or TP state and its reads alias the engine's outputs
-//    and the base TP ladder. Its first recorded outcome materializes the
-//    state -- a fork of the engine's outputs (PsrEngine::ForkSession, a
-//    memcpy, no scan) and a copy of the base TP ladder.
+//  * ONE ladder PsrEngine over the base, scanned and checkpointed once
+//    and immutable afterwards. Opening a session is O(1) (copy on first
+//    write): a pristine session owns no scan or TP state and its reads
+//    alias the engine's outputs and the base TP ladder. Its first
+//    recorded outcome materializes the state -- a fork of the engine's
+//    outputs (PsrEngine::ForkSession, a memcpy, no scan) and a copy of
+//    the base TP ladder.
 //  * Refreshing a session replays ONLY that session's suffix
 //    (PsrEngine::ReplaySession): the shared checkpoints cover the prefix
 //    above the session's divergence rank, the session's private
-//    checkpoints cover its own post-divergence suffix, and the shared
-//    delta TP pass (UpdateTpQualityLadder over the overlay) brings its
-//    per-rung quality state forward. The shared prefix is never
-//    recomputed for anybody.
+//    checkpoints cover its own post-divergence suffix, and the delta TP
+//    pass (UpdateTpQualityLadder over the overlay) brings its per-rung
+//    quality state forward. The shared prefix is never recomputed for
+//    anybody.
 //
 // Every session's maintained PSR/TP state is bitwise identical to a
-// dedicated CleaningSession fed the same outcomes (same scan arithmetic,
-// same restored snapshots -- pool_test.cc holds this to 1e-12 under
-// interleaved cleans, compaction and churn; bench_pool measures the
-// amortization win over N dedicated sessions).
+// from-scratch ComputePsrLadder + ComputeTpQuality over its overlay (same
+// scan arithmetic, same restored snapshots -- pool_test.cc holds this
+// bitwise under interleaved cleans and open/close churn; bench_pool
+// measures the amortization win over N one-session pools).
 //
 // Threading: SERIALIZED CALLER. Sessions are logically concurrent:
 // opens, applies, refreshes and closes interleave freely and never
@@ -65,7 +67,7 @@
 // outcomes only after the round's batches are all committed.
 //
 // Reading a dirty session (outcomes applied, not yet refreshed) is a hard
-// failure in every build type, matching CleaningSession.
+// failure in every build type.
 
 #ifndef UCLEAN_CLEAN_SESSION_POOL_H_
 #define UCLEAN_CLEAN_SESSION_POOL_H_
@@ -112,20 +114,18 @@ class SessionPool {
   };
 
   /// Runs the one shared scan + TP pass over `base` (compacting it first
-  /// if it carries tombstones) and readies the pool for OpenSession.
+  /// if it carries tombstones) and readies the pool for OpenSession. A
+  /// single k is the one-rung ladder KLadder::Of({k}).
   static Result<SessionPool> Create(ProbabilisticDatabase base,
                                     const KLadder& ladder,
                                     const Options& options);
+  // Default-options form (OpenFromSnapshot has the same pair): GCC
+  // rejects `const Options& options = Options()` while the nested
+  // struct's default member initializers are still incomplete, so a
+  // forwarding overload stands in for the default argument.
   static Result<SessionPool> Create(ProbabilisticDatabase base,
                                     const KLadder& ladder) {
     return Create(std::move(base), ladder, Options());
-  }
-
-  /// Single-k convenience.
-  static Result<SessionPool> Create(ProbabilisticDatabase base, size_t k,
-                                    const Options& options);
-  static Result<SessionPool> Create(ProbabilisticDatabase base, size_t k) {
-    return Create(std::move(base), k, Options());
   }
 
   /// Warm start: reconstructs a serving pool from a snapshot file written
@@ -147,7 +147,7 @@ class SessionPool {
   /// The shared base database (never mutated while the pool lives).
   const ProbabilisticDatabase& base() const { return *base_; }
 
-  /// The served ladder (a single rung for single-k pools).
+  /// The served ladder.
   const KLadder& ladder() const { return engine_.ladder(); }
   size_t num_rungs() const { return engine_.num_rungs(); }
 
@@ -208,9 +208,10 @@ class SessionPool {
     return Slot(id).pending_replay_begin != kNoPending;
   }
 
-  // Accessors mirror CleaningSession: reading a dirty session is a hard
-  // failure in every build type (a dirty session would silently serve its
-  // pre-clean state).
+  // Reading a dirty session is a hard failure in every build type (not a
+  // DCHECK): a dirty session holds pre-clean PSR/TP state, and serving it
+  // silently -- which is what a compiled-out assertion would do in
+  // Release -- corrupts every planning and reporting consumer downstream.
 
   /// Session `id`'s view of the database (base + its own outcomes).
   const DatabaseOverlay& overlay(SessionId id) const {

@@ -1,13 +1,13 @@
 // SerialGate: the library's serialized-caller contracts as an annotated
 // capability, enforced at BOTH compile time and (debug) run time.
 //
-// Several components are documented "serialized caller": one thread may
+// Some components are documented "serialized caller": one thread may
 // drive the object's mutating surface at a time, but the object carries
 // no lock of its own because legitimate use never contends (SessionPool,
-// CleaningSession, PsrEngine's replay entry points, FaultInjector). PR 4
-// enforced that contract dynamically with a debug-only atomic reentrancy
-// guard; this header promotes the guard into a first-class capability so
-// the Clang thread-safety build ALSO rejects misuse statically:
+// FaultInjector). A debug-only atomic reentrancy guard enforces that
+// contract dynamically; this header makes the guard a first-class
+// capability so the Clang thread-safety build ALSO rejects misuse
+// statically:
 //
 //  * every mutating public entry point opens a ScopedSerialCall window
 //    on the object's gate (and is annotated UCLEAN_EXCLUDES(gate_), so a
@@ -19,10 +19,10 @@
 //    SessionPool::RefreshAll's per-session refresh tasks) states the fact
 //    with gate.AssertHeld().
 //
-// At run time the gate is the PR-4 check, unchanged in strength: in debug
-// builds Enter() aborts when the gate is already held -- two overlapping
-// calls from anywhere, including two threads -- and compiles to nothing
-// under NDEBUG (pool_test.cc's death tests drive it).
+// At run time the gate is that reentrancy check: in debug builds Enter()
+// aborts when the gate is already held -- two overlapping calls from
+// anywhere, including two threads -- and compiles to nothing under
+// NDEBUG (pool_test.cc's death test drives it).
 //
 // Threading: the gate itself is the contract marker; Enter/Exit are safe
 // to call from any thread (misuse aborts, by design).

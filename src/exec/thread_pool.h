@@ -13,8 +13,8 @@
 //    satisfy this by construction, which is what keeps parallel output
 //    bitwise equal to sequential output).
 //  * NO SURPRISE THREADS. The pool is fixed-size, created explicitly at
-//    the top of the stack (CLI --threads, SessionPool/CleaningSession
-//    options, bench harnesses) and handed down as a shared_ptr inside
+//    the top of the stack (CLI --threads, SessionPool options, bench
+//    harnesses) and handed down as a shared_ptr inside
 //    ExecOptions. A null pool -- the default everywhere -- means strictly
 //    sequential execution on the caller thread; the library never spawns
 //    a thread the caller did not ask for.
@@ -154,7 +154,7 @@ enum class KernelKind : uint8_t {
 };
 
 /// The parallelism knob threaded through the stack (PsrEngine,
-/// ComputePsrLadder, TP, CleaningSession, SessionPool, CLI --threads).
+/// ComputePsrLadder, TP, SessionPool, CLI --threads).
 struct ExecOptions {
   /// Threads of compute to apply; 1 (the default) is the strictly
   /// sequential path with no pool involvement at all.

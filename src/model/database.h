@@ -2,15 +2,17 @@
 // DatabaseBuilder, its validating constructor.
 //
 // The database is immutable under queries, with one carefully scoped
-// exception used by the incremental cleaning engine: ApplyCleanOutcome
-// collapses an x-tuple in place after a successful pclean (Definition 5).
-// Because the ranking function depends only on (is_null, score, id) -- never
-// on probabilities -- collapsing an x-tuple leaves every surviving tuple's
-// rank index unchanged, so the operation tombstones the dropped siblings
-// instead of rebuilding and re-sorting the whole database. Tombstones are
-// reclaimed lazily via CompactTombstones (the cleaning session triggers it
-// once enough garbage accumulates), which renumbers rank indices by a
-// monotone map that incremental consumers (PsrEngine) can replay.
+// exception: ApplyCleanOutcome collapses an x-tuple in place after a
+// successful pclean (Definition 5). Because the ranking function depends
+// only on (is_null, score, id) -- never on probabilities -- collapsing an
+// x-tuple leaves every surviving tuple's rank index unchanged, so the
+// operation tombstones the dropped siblings instead of rebuilding and
+// re-sorting the whole database; CompactTombstones then erases them by a
+// monotone renumbering. Cleaning sessions never mutate a database (they
+// record outcomes in a model/database_overlay.h overlay); the in-place
+// pair serves the consumers that produce a standalone cleaned database:
+// DatabaseOverlay::MaterializeCleaned, the one-shot ExecutePlan, and
+// SessionPool::Create, which compacts a tombstoned base.
 //
 // Model recap (Section III-A): a database D holds m x-tuples; each x-tuple
 // is a set of mutually exclusive tuples whose existential probabilities sum
@@ -95,7 +97,8 @@ class ProbabilisticDatabase {
   bool has_tombstones() const { return num_tombstones_ > 0; }
 
   /// What a successful ApplyCleanOutcome changed; consumed by incremental
-  /// state maintainers (PsrEngine / delta TP).
+  /// state maintainers (PsrEngine::ReplaySession / delta TP, through the
+  /// overlay form).
   struct CleanOutcomeDelta {
     /// First rank index whose tuple (existence or probability) changed;
     /// every tuple ranked strictly above is untouched, so rank-probability

@@ -5,8 +5,9 @@
 // cleaning sessions from ONE base database and ONE checkpointed PSR scan.
 // Each session's clean outcomes must not leak into the base (another
 // analyst's view) -- so instead of mutating the base the way
-// ProbabilisticDatabase::ApplyCleanOutcome does inside a dedicated
-// CleaningSession, an overlay records the session's outcomes on the side:
+// ProbabilisticDatabase::ApplyCleanOutcome does, an overlay records the
+// session's outcomes on the side. It is the only way a cleaning session
+// mutates anything:
 //
 //  * dropped siblings become overlay tombstones (a lazily allocated byte
 //    per rank index, never touching the base's tombstone state);
@@ -19,8 +20,9 @@
 // delta pass and the probe agent consume (num_tuples / tuple /
 // is_tombstone / xtuple_members / xtuple_real_mass), so every templated
 // consumer runs the SAME per-tuple arithmetic over an overlay as over a
-// plain database -- which is what makes a pooled session's replayed state
-// bitwise identical to a dedicated session's. Rank indices never move
+// plain database -- which is what makes a session's replayed state
+// bitwise identical to a from-scratch scan of its overlay and of its
+// materialized cleaned database. Rank indices never move
 // (overlays never compact; the base is shared), so the shared engine's
 // checkpoints stay valid for every session above its own first change.
 //

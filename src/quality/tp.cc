@@ -89,81 +89,6 @@ Result<std::vector<TpOutput>> ComputeImpl(const Db& db,
   return outs;
 }
 
-/// Shared implementation behind both Update forms: re-derives the omega
-/// suffix once and re-masks/re-accumulates per rung, fanning the
-/// per-rung suffix work over `exec` (disjoint outputs, bitwise equal).
-template <typename Db>
-Status UpdateImpl(const Db& db, const PsrOutput* const* psrs,
-                  TpOutput* const* tps, size_t rungs, size_t replay_begin,
-                  const ExecOptions& exec) {
-  const size_t n = db.num_tuples();
-  size_t max_end = replay_begin;
-  for (size_t j = 0; j < rungs; ++j) {
-    if (psrs[j]->topk_prob.size() != n || tps[j]->omega.size() != n) {
-      return Status::InvalidArgument(
-          "TP/PSR state does not match the database (tuple count mismatch)");
-    }
-    if (tps[j]->xtuple_gain.size() != db.num_xtuples()) {
-      return Status::InvalidArgument(
-          "TP state does not match the database (x-tuple count mismatch)");
-    }
-    max_end = std::max({max_end, psrs[j]->scan_end, tps[j]->scan_end});
-  }
-
-  // Recompute the shared omega suffix. E_run for an x-tuple first seen
-  // inside the suffix is seeded from its members ranked above the
-  // boundary: those are untouched by any clean with first_changed_rank >=
-  // replay_begin, and xtuple_members() lists them best rank first, so the
-  // seed accumulates the exact additions the full pass performed.
-  std::vector<double> shared_omega(max_end, 0.0);
-  std::vector<double> e_run(db.num_xtuples(), 0.0);
-  std::vector<uint8_t> seeded(db.num_xtuples(), 0);
-  for (size_t i = replay_begin; i < max_end; ++i) {
-    if (db.is_tombstone(i)) continue;
-    const Tuple& t = db.tuple(i);
-    if (!seeded[t.xtuple]) {
-      seeded[t.xtuple] = 1;
-      double above = 0.0;
-      for (int32_t idx : db.xtuple_members(t.xtuple)) {
-        if (static_cast<size_t>(idx) >= replay_begin) break;
-        above += db.tuple(idx).prob;
-      }
-      e_run[t.xtuple] = above;
-    }
-    const double e_at_or_above = e_run[t.xtuple] + t.prob;
-    e_run[t.xtuple] = e_at_or_above;
-    shared_omega[i] = Omega(t.prob, e_at_or_above);
-  }
-
-  ExecParallelFor(exec, rungs, [&](size_t j) {
-    const PsrOutput& psr = *psrs[j];
-    TpOutput* tp = tps[j];
-    // Every stored omega lives below the scan end it was computed under,
-    // and a replay only rewrites [replay_begin, psr.scan_end), so work is
-    // bounded by the deeper of the two ends. A rung whose scans never
-    // reach the boundary is untouched (the clean cannot affect it).
-    //
-    // The wipe below runs to the DEEPER end on purpose: when a replay
-    // moves the rung's scan_end backward (a clean that saturates an
-    // x-tuple earlier fires the Lemma-2 stop sooner), the entries in
-    // [psr.scan_end, tp->scan_end) must be zeroed or later delta passes
-    // -- whose wipe is bounded by the new, shallower scan_end -- would
-    // resurrect them once the scan grows again. This maintains the
-    // invariant that omega is identically zero at and past scan_end
-    // (regression-tested in ladder_test.cc).
-    const size_t end = std::max(tp->scan_end, psr.scan_end);
-    if (end <= replay_begin) return;  // omega and scan_end stay valid
-    std::fill(tp->omega.begin() + replay_begin, tp->omega.begin() + end, 0.0);
-    for (size_t i = replay_begin; i < psr.scan_end; ++i) {
-      if (db.is_tombstone(i) || psr.topk_prob[i] <= 0.0) continue;
-      tp->omega[i] = shared_omega[i];
-    }
-    tp->scan_end = psr.scan_end;
-    AccumulateAggregates(db, psr, tp);
-  });
-  return Status::OK();
-}
-
 }  // namespace
 
 Result<TpOutput> ComputeTpQuality(const ProbabilisticDatabase& db,
@@ -202,49 +127,80 @@ Result<std::vector<TpOutput>> ComputeTpQualityLadder(
   return ComputeImpl(db, ptrs.data(), ptrs.size(), exec);
 }
 
-Status UpdateTpQuality(const ProbabilisticDatabase& db, const PsrOutput& psr,
-                       size_t replay_begin, TpOutput* tp) {
-  const PsrOutput* psr_ptr = &psr;
-  return UpdateImpl(db, &psr_ptr, &tp, 1, replay_begin, {});
-}
-
-namespace {
-
-/// Shared ladder plumbing behind the database and overlay overloads.
-template <typename Db>
-Status UpdateLadderImpl(const Db& db, const std::vector<PsrOutput>& psrs,
-                        size_t replay_begin, std::vector<TpOutput>* tps,
-                        const ExecOptions& exec) {
-  if (psrs.size() != tps->size() || psrs.empty()) {
-    return Status::InvalidArgument(
-        "PSR and TP ladders must be non-empty and the same length");
-  }
-  std::vector<const PsrOutput*> psr_ptrs;
-  std::vector<TpOutput*> tp_ptrs;
-  psr_ptrs.reserve(psrs.size());
-  tp_ptrs.reserve(psrs.size());
-  for (size_t j = 0; j < psrs.size(); ++j) {
-    psr_ptrs.push_back(&psrs[j]);
-    tp_ptrs.push_back(&(*tps)[j]);
-  }
-  return UpdateImpl(db, psr_ptrs.data(), tp_ptrs.data(), psrs.size(),
-                    replay_begin, exec);
-}
-
-}  // namespace
-
-Status UpdateTpQualityLadder(const ProbabilisticDatabase& db,
-                             const std::vector<PsrOutput>& psrs,
-                             size_t replay_begin, std::vector<TpOutput>* tps,
-                             const ExecOptions& exec) {
-  return UpdateLadderImpl(db, psrs, replay_begin, tps, exec);
-}
-
 Status UpdateTpQualityLadder(const DatabaseOverlay& db,
                              const std::vector<PsrOutput>& psrs,
                              size_t replay_begin, std::vector<TpOutput>* tps,
                              const ExecOptions& exec) {
-  return UpdateLadderImpl(db, psrs, replay_begin, tps, exec);
+  if (psrs.size() != tps->size() || psrs.empty()) {
+    return Status::InvalidArgument(
+        "PSR and TP ladders must be non-empty and the same length");
+  }
+  const size_t n = db.num_tuples();
+  size_t max_end = replay_begin;
+  for (size_t j = 0; j < psrs.size(); ++j) {
+    if (psrs[j].topk_prob.size() != n || (*tps)[j].omega.size() != n) {
+      return Status::InvalidArgument(
+          "TP/PSR state does not match the database (tuple count mismatch)");
+    }
+    if ((*tps)[j].xtuple_gain.size() != db.num_xtuples()) {
+      return Status::InvalidArgument(
+          "TP state does not match the database (x-tuple count mismatch)");
+    }
+    max_end = std::max({max_end, psrs[j].scan_end, (*tps)[j].scan_end});
+  }
+
+  // Recompute the shared omega suffix. E_run for an x-tuple first seen
+  // inside the suffix is seeded from its members ranked above the
+  // boundary: those are untouched by any clean with first_changed_rank >=
+  // replay_begin, and xtuple_members() lists them best rank first, so the
+  // seed accumulates the exact additions the full pass performed.
+  std::vector<double> shared_omega(max_end, 0.0);
+  std::vector<double> e_run(db.num_xtuples(), 0.0);
+  std::vector<uint8_t> seeded(db.num_xtuples(), 0);
+  for (size_t i = replay_begin; i < max_end; ++i) {
+    if (db.is_tombstone(i)) continue;
+    const Tuple& t = db.tuple(i);
+    if (!seeded[t.xtuple]) {
+      seeded[t.xtuple] = 1;
+      double above = 0.0;
+      for (int32_t idx : db.xtuple_members(t.xtuple)) {
+        if (static_cast<size_t>(idx) >= replay_begin) break;
+        above += db.tuple(idx).prob;
+      }
+      e_run[t.xtuple] = above;
+    }
+    const double e_at_or_above = e_run[t.xtuple] + t.prob;
+    e_run[t.xtuple] = e_at_or_above;
+    shared_omega[i] = Omega(t.prob, e_at_or_above);
+  }
+
+  ExecParallelFor(exec, psrs.size(), [&](size_t j) {
+    const PsrOutput& psr = psrs[j];
+    TpOutput* tp = &(*tps)[j];
+    // Every stored omega lives below the scan end it was computed under,
+    // and a replay only rewrites [replay_begin, psr.scan_end), so work is
+    // bounded by the deeper of the two ends. A rung whose scans never
+    // reach the boundary is untouched (the clean cannot affect it).
+    //
+    // The wipe below runs to the DEEPER end on purpose: when a replay
+    // moves the rung's scan_end backward (a clean that saturates an
+    // x-tuple earlier fires the Lemma-2 stop sooner), the entries in
+    // [psr.scan_end, tp->scan_end) must be zeroed or later delta passes
+    // -- whose wipe is bounded by the new, shallower scan_end -- would
+    // resurrect them once the scan grows again. This maintains the
+    // invariant that omega is identically zero at and past scan_end
+    // (regression-tested in ladder_test.cc).
+    const size_t end = std::max(tp->scan_end, psr.scan_end);
+    if (end <= replay_begin) return;  // omega and scan_end stay valid
+    std::fill(tp->omega.begin() + replay_begin, tp->omega.begin() + end, 0.0);
+    for (size_t i = replay_begin; i < psr.scan_end; ++i) {
+      if (db.is_tombstone(i) || psr.topk_prob[i] <= 0.0) continue;
+      tp->omega[i] = shared_omega[i];
+    }
+    tp->scan_end = psr.scan_end;
+    AccumulateAggregates(db, psr, tp);
+  });
+  return Status::OK();
 }
 
 }  // namespace uclean

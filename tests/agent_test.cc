@@ -200,7 +200,9 @@ TEST(AgentFaults, EqualSeedsReplayIdenticalFaultsAcrossOverloads) {
   EXPECT_EQ(runs[0].spent, runs[1].spent);
 
   // Pooled-session overload: same seeds, same faults, same outcomes.
-  Result<SessionPool> pool = SessionPool::Create(db, /*k=*/2);
+  Result<KLadder> ladder = KLadder::Of({2});
+  ASSERT_TRUE(ladder.ok());
+  Result<SessionPool> pool = SessionPool::Create(db, *ladder);
   ASSERT_TRUE(pool.ok());
   SessionPool::SessionId id = pool->OpenSession();
   FaultInjector injector(TransientFaults(0.3));

@@ -668,6 +668,35 @@ TEST_F(CliTest, SnapshotCorruptionExitsWithDataLossCode) {
       << out;
 }
 
+TEST_F(CliTest, NegativeBudgetIsRejectedByEveryCleaningPath) {
+  std::string out;
+  ASSERT_EQ(Run("generate --type synthetic --xtuples 40 --out " +
+                    Path("budget_db.csv") + " --seed 2",
+                &out),
+            0)
+      << out;
+  ASSERT_EQ(
+      Run("profile --xtuples 40 --out " + Path("budget_profile.csv"), &out),
+      0)
+      << out;
+  const std::string inputs = " --db " + Path("budget_db.csv") +
+                             " --profile " + Path("budget_profile.csv") +
+                             " --k 5 --budget -5";
+  // The planner, the one-shot clean, the one-session adaptive loop and
+  // the pooled adaptive loop all refuse the budget with the same error.
+  for (const std::string& command :
+       {"plan" + inputs,
+        "clean" + inputs + " --out " + Path("b1.csv"),
+        "clean" + inputs + " --adaptive --out " + Path("b2.csv"),
+        "clean" + inputs + " --adaptive --sessions 2 --out " +
+            Path("b3.csv")}) {
+    EXPECT_EQ(Run(command, &out), 1) << command << ": " << out;
+    EXPECT_NE(out.find("InvalidArgument: budget must be >= 0"),
+              std::string::npos)
+        << command << ": " << out;
+  }
+}
+
 TEST_F(CliTest, ErrorPaths) {
   std::string out;
   // Missing required flag.

@@ -1,17 +1,18 @@
 // Property tests for the incremental cleaning engine: random sequences of
-// clean outcomes applied through ProbabilisticDatabase::ApplyCleanOutcome +
-// PsrEngine + delta TP must match a from-scratch ComputePsr /
-// ComputeTpQuality of the same database to 1e-12 at every step, under
-// every compaction policy, and agree with the historical builder
-// round-trip.
+// clean outcomes recorded in a one-session SessionPool (copy-on-write
+// overlay + PsrEngine::ReplaySession + delta TP) must match a from-scratch
+// ComputePsrLadder / ComputeTpQuality of the session's overlay bitwise at
+// every step, and agree with the historical builder round-trip of the
+// materialized cleaned database.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "clean/agent.h"
-#include "clean/session.h"
+#include "clean/session_pool.h"
 #include "common/rng.h"
 #include "model/database.h"
 #include "quality/tp.h"
@@ -24,93 +25,54 @@ namespace {
 
 constexpr double kTol = 1e-12;
 
-/// Checks the session's maintained PSR + TP state against a from-scratch
-/// recomputation over the session's own database.
-void ExpectMatchesFromScratch(const CleaningSession& session) {
-  const ProbabilisticDatabase& db = session.db();
-  PsrOptions options;
-  options.store_rank_probabilities = session.psr().has_rank_probabilities;
-  Result<PsrOutput> psr = ScanPsr(db, session.k(), options);
-  ASSERT_TRUE(psr.ok()) << psr.status();
+/// One session over `db` serving the single k `k`.
+struct OneSessionPool {
+  SessionPool pool;
+  SessionPool::SessionId id;
+};
 
-  const PsrOutput& inc = session.psr();
-  ASSERT_EQ(inc.topk_prob.size(), psr->topk_prob.size());
-  EXPECT_EQ(inc.scan_end, psr->scan_end);
-  EXPECT_EQ(inc.num_nonzero, psr->num_nonzero);
-  for (size_t i = 0; i < psr->topk_prob.size(); ++i) {
-    EXPECT_NEAR(inc.topk_prob[i], psr->topk_prob[i], kTol) << "tuple " << i;
-  }
-  if (options.store_rank_probabilities) {
-    for (size_t i = 0; i < psr->topk_prob.size(); ++i) {
-      for (size_t h = 1; h <= session.k(); ++h) {
-        EXPECT_NEAR(inc.rank_probability(i, h), psr->rank_probability(i, h),
-                    kTol)
-            << "tuple " << i << " rank " << h;
-      }
-    }
-    for (size_t h = 0; h < session.k(); ++h) {
-      EXPECT_NEAR(inc.best_rank_prob[h], psr->best_rank_prob[h], kTol);
-      EXPECT_EQ(inc.best_rank_index[h], psr->best_rank_index[h]);
-    }
-  }
-
-  Result<TpOutput> tp = ComputeTpQuality(db, *psr);
-  ASSERT_TRUE(tp.ok()) << tp.status();
-  EXPECT_NEAR(session.tp().quality, tp->quality, kTol);
-  ASSERT_EQ(session.tp().xtuple_gain.size(), tp->xtuple_gain.size());
-  for (size_t l = 0; l < tp->xtuple_gain.size(); ++l) {
-    EXPECT_NEAR(session.tp().xtuple_gain[l], tp->xtuple_gain[l], kTol)
-        << "x-tuple " << l;
-    EXPECT_NEAR(session.tp().xtuple_topk_mass[l], tp->xtuple_topk_mass[l],
-                kTol)
-        << "x-tuple " << l;
-  }
-  for (size_t i = 0; i < tp->omega.size(); ++i) {
-    EXPECT_NEAR(session.tp().omega[i], tp->omega[i], kTol) << "tuple " << i;
-  }
-
-  // The historical path: rebuild through the validating builder and
-  // recompute. The rebuilt database has its own (compacted) indexing, so
-  // compare the order-independent aggregates.
-  Result<ProbabilisticDatabase> rebuilt =
-      std::move(DatabaseBuilder::FromDatabase(db)).Finish();
-  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
-  Result<TpOutput> rebuilt_tp = ComputeTpQuality(*rebuilt, session.k());
-  ASSERT_TRUE(rebuilt_tp.ok()) << rebuilt_tp.status();
-  EXPECT_NEAR(session.tp().quality, rebuilt_tp->quality, kTol);
-  for (size_t l = 0; l < tp->xtuple_gain.size(); ++l) {
-    EXPECT_NEAR(session.tp().xtuple_gain[l], rebuilt_tp->xtuple_gain[l], kTol);
-  }
+OneSessionPool OpenOneSession(ProbabilisticDatabase db, size_t k,
+                              const SessionPool::Options& options) {
+  Result<KLadder> ladder = KLadder::Of({k});
+  UCLEAN_CHECK(ladder.ok());
+  Result<SessionPool> pool = SessionPool::Create(std::move(db), *ladder,
+                                                 options);
+  UCLEAN_CHECK(pool.ok());
+  OneSessionPool out{std::move(pool).value(), 0};
+  out.id = out.pool.OpenSession();
+  return out;
 }
 
-/// Draws a random clean outcome for a random still-uncertain x-tuple;
-/// returns false when the database is fully certain.
-bool ApplyRandomOutcome(CleaningSession* session, Rng* rng) {
-  const ProbabilisticDatabase& db = session->db();
-  std::vector<XTupleId> uncertain;
-  for (size_t l = 0; l < db.num_xtuples(); ++l) {
-    const auto& members = db.xtuple_members(static_cast<XTupleId>(l));
-    if (members.size() > 1 || db.tuple(members[0]).prob < 1.0) {
-      uncertain.push_back(static_cast<XTupleId>(l));
-    }
+/// Checks the session's maintained PSR + TP state bitwise against a
+/// from-scratch recomputation over its own overlay, and against the
+/// historical path: materialize, rebuild through the validating builder
+/// and recompute. The rebuilt database has its own (compacted) indexing,
+/// so that leg compares the order-independent aggregates -- also bitwise,
+/// since the count-refresh grid is anchored on live ordinals.
+void ExpectMatchesFromScratch(const OneSessionPool& s,
+                              const PsrOptions& options) {
+  ExpectMatchesOverlayScan(s.pool, s.id, options);
+
+  const size_t k = s.pool.ladder().max_k();
+  Result<ProbabilisticDatabase> rebuilt =
+      std::move(DatabaseBuilder::FromDatabase(
+                    s.pool.overlay(s.id).MaterializeCleaned()))
+          .Finish();
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+  Result<TpOutput> rebuilt_tp = ComputeTpQuality(*rebuilt, k);
+  ASSERT_TRUE(rebuilt_tp.ok()) << rebuilt_tp.status();
+  const TpOutput& tp = s.pool.tp(s.id);
+  EXPECT_EQ(tp.quality, rebuilt_tp->quality);
+  ASSERT_EQ(tp.xtuple_gain.size(), rebuilt_tp->xtuple_gain.size());
+  for (size_t l = 0; l < tp.xtuple_gain.size(); ++l) {
+    EXPECT_EQ(tp.xtuple_gain[l], rebuilt_tp->xtuple_gain[l]);
   }
-  if (uncertain.empty()) return false;
-  const XTupleId l = uncertain[static_cast<size_t>(
-      rng->UniformInt(0, static_cast<int64_t>(uncertain.size()) - 1))];
-  const auto& members = db.xtuple_members(l);
-  std::vector<double> weights;
-  for (int32_t idx : members) weights.push_back(db.tuple(idx).prob);
-  const Tuple& revealed = db.tuple(members[rng->Discrete(weights)]);
-  Status s = session->ApplyCleanOutcome(l, revealed.id);
-  EXPECT_TRUE(s.ok()) << s;
-  return true;
 }
 
 struct SweepParam {
   int seed;
   size_t k;
   bool store_matrix;
-  size_t compact_min;  // 1 = compact every refresh, SIZE_MAX = never
 };
 
 TEST(IncrementalDense, MidScanCheckpointRestoreAndThinning) {
@@ -123,24 +85,21 @@ TEST(IncrementalDense, MidScanCheckpointRestoreAndThinning) {
   opts.num_xtuples = 150;
   opts.max_alternatives = 4;
   opts.allow_subunit_mass = true;
-  ProbabilisticDatabase db = MakeRandomDatabase(&maker, opts);
-
-  CleaningSession::Options options;
+  SessionPool::Options options;
   options.checkpoint_interval = 1;
-  options.compact_min_tombstones = 16;
-  options.compact_min_fraction = 0.05;
-  Result<CleaningSession> session =
-      CleaningSession::Start(std::move(db), /*k=*/9, options);
-  ASSERT_TRUE(session.ok()) << session.status();
-  ExpectMatchesFromScratch(*session);
+  OneSessionPool session =
+      OpenOneSession(MakeRandomDatabase(&maker, opts), /*k=*/9, options);
+  ExpectMatchesFromScratch(session, options.psr);
 
   Rng rng(314159);
   for (int step = 0; step < 25; ++step) {
     const int batch = static_cast<int>(rng.UniformInt(1, 2));
     bool any = false;
-    for (int b = 0; b < batch; ++b) any |= ApplyRandomOutcome(&*session, &rng);
-    ASSERT_TRUE(session->Refresh().ok());
-    ExpectMatchesFromScratch(*session);
+    for (int b = 0; b < batch; ++b) {
+      any |= ApplyRandomOutcome(&session.pool, session.id, &rng);
+    }
+    ASSERT_TRUE(session.pool.Refresh(session.id).ok());
+    ExpectMatchesFromScratch(session, options.psr);
     if (!any) break;
   }
 }
@@ -153,46 +112,35 @@ TEST_P(IncrementalSweep, MatchesFromScratchAtEveryStep) {
   RandomDbOptions opts;
   opts.num_xtuples = 24;
   opts.max_alternatives = 4;
-  ProbabilisticDatabase db = MakeRandomDatabase(&maker, opts);
-
-  CleaningSession::Options options;
+  SessionPool::Options options;
   options.psr.store_rank_probabilities = param.store_matrix;
-  options.compact_min_tombstones = param.compact_min;
-  options.compact_min_fraction = 0.0;
-  Result<CleaningSession> session =
-      CleaningSession::Start(std::move(db), param.k, options);
-  ASSERT_TRUE(session.ok()) << session.status();
-  ExpectMatchesFromScratch(*session);
+  OneSessionPool session =
+      OpenOneSession(MakeRandomDatabase(&maker, opts), param.k, options);
+  ExpectMatchesFromScratch(session, options.psr);
 
   Rng rng(static_cast<uint64_t>(param.seed) + 1000);
   for (int step = 0; step < 40; ++step) {
     // Batch one to three outcomes per refresh, like an adaptive round.
     const int batch = static_cast<int>(rng.UniformInt(1, 3));
     bool any = false;
-    for (int b = 0; b < batch; ++b) any |= ApplyRandomOutcome(&*session, &rng);
-    ASSERT_TRUE(session->Refresh().ok());
-    ExpectMatchesFromScratch(*session);
+    for (int b = 0; b < batch; ++b) {
+      any |= ApplyRandomOutcome(&session.pool, session.id, &rng);
+    }
+    ASSERT_TRUE(session.pool.Refresh(session.id).ok());
+    ExpectMatchesFromScratch(session, options.psr);
     if (!any) break;  // fully certain: nothing left to clean
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, IncrementalSweep,
-    ::testing::Values(SweepParam{11, 3, true, 1},
-                      SweepParam{11, 3, true, static_cast<size_t>(-1)},
-                      SweepParam{22, 1, false, 1},
-                      SweepParam{22, 7, false, 4},
-                      SweepParam{33, 5, true, 4},
-                      SweepParam{44, 2, false, static_cast<size_t>(-1)}),
+    ::testing::Values(SweepParam{11, 3, true}, SweepParam{22, 1, false},
+                      SweepParam{22, 7, false}, SweepParam{33, 5, true},
+                      SweepParam{44, 2, false}),
     [](const auto& info) {
       const SweepParam& p = info.param;
       return "s" + std::to_string(p.seed) + "k" + std::to_string(p.k) +
-             (p.store_matrix ? "mat" : "nomat") +
-             (p.compact_min == 1
-                  ? std::string("eager")
-                  : (p.compact_min == static_cast<size_t>(-1)
-                         ? std::string("never")
-                         : "lazy" + std::to_string(p.compact_min)));
+             (p.store_matrix ? "mat" : "nomat");
     });
 
 TEST(Database, ApplyCleanOutcomeCollapsesInPlace) {
@@ -309,16 +257,8 @@ TEST(PsrEngine, CreateMatchesComputePsr) {
       ASSERT_TRUE(engine.ok()) << engine.status();
       Result<PsrOutput> scratch = ScanPsr(db, k, options);
       ASSERT_TRUE(scratch.ok());
-      EXPECT_EQ(engine->output().scan_end, scratch->scan_end);
-      EXPECT_EQ(engine->output().num_nonzero, scratch->num_nonzero);
-      for (size_t i = 0; i < db.num_tuples(); ++i) {
-        EXPECT_NEAR(engine->output().topk_prob[i], scratch->topk_prob[i],
-                    kTol);
-      }
-      for (size_t h = 0; h < k; ++h) {
-        EXPECT_EQ(engine->output().best_rank_index[h],
-                  scratch->best_rank_index[h]);
-      }
+      ExpectPsrBitwiseEq(engine->output(0), *scratch,
+                         "k=" + std::to_string(k));
     }
   }
 }
@@ -331,98 +271,6 @@ TEST(PsrEngine, RejectsZeroK) {
   ScanRequest request;
   request.ladder.ks = {0};
   EXPECT_FALSE(PsrEngine::Create(db, request).ok());
-}
-
-TEST(Session, TakeDatabaseOnDirtySessionReflectsOutcomes) {
-  // TakeDatabase must hand back every applied outcome even when the
-  // session is still dirty (outcomes applied, no Refresh): the database
-  // mutations are eager, only the PSR/TP state refresh is deferred, and
-  // ending a session is a legitimate reason never to pay for one.
-  Rng maker(4242);
-  RandomDbOptions opts;
-  opts.num_xtuples = 12;
-  opts.max_alternatives = 3;
-  ProbabilisticDatabase base = MakeRandomDatabase(&maker, opts);
-
-  // Reference: the same outcomes collapsed directly on a copy.
-  ProbabilisticDatabase reference = base;
-
-  Result<CleaningSession> session =
-      CleaningSession::Start(ProbabilisticDatabase(base), /*k=*/3);
-  ASSERT_TRUE(session.ok());
-  Rng rng(17);
-  size_t applied = 0;
-  for (int draw = 0; draw < 4; ++draw) {
-    if (!ApplyRandomOutcome(&*session, &rng)) break;
-    ++applied;
-  }
-  ASSERT_GT(applied, 0u);
-  ASSERT_TRUE(session->dirty());
-  for (size_t l = 0; l < reference.num_xtuples(); ++l) {
-    // Mirror the session's collapses onto the reference via its db view.
-    const auto& members =
-        session->db().xtuple_members(static_cast<XTupleId>(l));
-    if (members.size() != 1) continue;
-    const Tuple& survivor = session->db().tuple(members[0]);
-    if (survivor.prob < 1.0) continue;
-    ASSERT_TRUE(reference
-                    .ApplyCleanOutcome(static_cast<XTupleId>(l),
-                                       survivor.is_null ? -1 : survivor.id)
-                    .ok());
-  }
-  reference.CompactTombstones();
-
-  const ProbabilisticDatabase taken = std::move(*session).TakeDatabase();
-  EXPECT_FALSE(taken.has_tombstones());  // compacted on the way out
-  ASSERT_EQ(taken.num_tuples(), reference.num_tuples());
-  for (size_t i = 0; i < reference.num_tuples(); ++i) {
-    EXPECT_EQ(taken.tuple(i).id, reference.tuple(i).id) << "rank " << i;
-    EXPECT_DOUBLE_EQ(taken.tuple(i).prob, reference.tuple(i).prob)
-        << "rank " << i;
-  }
-}
-
-TEST(Session, ExecutePlanOverloadsAgree) {
-  // The session overload of ExecutePlan must consume the same random
-  // stream and land on the same cleaned state as the database overload.
-  Rng maker(91);
-  RandomDbOptions opts;
-  opts.num_xtuples = 10;
-  opts.max_alternatives = 3;
-  ProbabilisticDatabase db = MakeRandomDatabase(&maker, opts);
-  CleaningProfile profile;
-  for (size_t l = 0; l < db.num_xtuples(); ++l) {
-    profile.costs.push_back(1 + static_cast<int64_t>(l % 3));
-    profile.sc_probs.push_back(maker.Uniform(0.2, 0.9));
-  }
-  std::vector<int64_t> probes(db.num_xtuples(), 0);
-  for (size_t l = 0; l < probes.size(); l += 2) probes[l] = 2;
-
-  const size_t k = 3;
-  for (uint64_t seed = 1; seed <= 5; ++seed) {
-    Rng rng_a(seed), rng_b(seed);
-    Result<ExecutionReport> scratch = ExecutePlan(db, profile, probes, &rng_a);
-    ASSERT_TRUE(scratch.ok());
-
-    Result<CleaningSession> session =
-        CleaningSession::Start(ProbabilisticDatabase(db), k);
-    ASSERT_TRUE(session.ok());
-    Result<SessionExecutionReport> incremental =
-        ExecutePlan(&*session, profile, probes, &rng_b);
-    ASSERT_TRUE(incremental.ok());
-    ASSERT_TRUE(session->Refresh().ok());
-
-    EXPECT_EQ(scratch->spent, incremental->spent);
-    EXPECT_EQ(scratch->leftover, incremental->leftover);
-    EXPECT_EQ(scratch->successes, incremental->successes);
-    ASSERT_EQ(scratch->log.size(), incremental->log.size());
-    for (size_t j = 0; j < scratch->log.size(); ++j) {
-      EXPECT_EQ(scratch->log[j].resolved_id, incremental->log[j].resolved_id);
-    }
-    Result<TpOutput> scratch_tp = ComputeTpQuality(scratch->cleaned_db, k);
-    ASSERT_TRUE(scratch_tp.ok());
-    EXPECT_NEAR(scratch_tp->quality, session->quality(), kTol);
-  }
 }
 
 }  // namespace

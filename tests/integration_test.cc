@@ -128,7 +128,7 @@ TEST(Integration, CsvRoundTripPreservesQualityAndAnswers) {
   }
 }
 
-TEST(Integration, FullCleaningSessionImprovesExpectedQuality) {
+TEST(Integration, FullCleaningWorkflowImprovesExpectedQuality) {
   // Generate -> evaluate -> plan with every planner -> execute the DP plan
   // -> verify the realized database is better on average than before.
   Result<ProbabilisticDatabase> db = GenerateSynthetic(SmallSynthetic());

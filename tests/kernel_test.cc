@@ -29,6 +29,7 @@
 #include "common/rng.h"
 #include "exec/thread_pool.h"
 #include "model/database.h"
+#include "model/database_overlay.h"
 #include "rank/kernel.h"
 #include "rank/psr.h"
 #include "rank/psr_engine.h"
@@ -501,25 +502,54 @@ TEST(KernelScan, EngineReplayFromEveryCheckpointBitwiseEqual) {
                           "create k=" + std::to_string(ladder[j]));
   }
 
-  // Replays restarted at EVERY checkpoint rank: the restored snapshot
-  // plus the replayed suffix must agree bitwise between kernels, and
-  // with the uninterrupted scan of either.
+  // Session replays restored from EVERY shared checkpoint: for each
+  // checkpoint p, a clean whose first change ranks in [p, next
+  // checkpoint) makes p the restore point. The restored snapshot plus the
+  // replayed suffix must agree bitwise between kernels, and with a
+  // from-scratch scan of the same overlay.
   const std::vector<size_t> positions = scalar->checkpoint_positions();
   ASSERT_GT(positions.size(), 4u);
-  for (const size_t pos : positions) {
-    PsrEngine scalar_restart = *scalar;
-    PsrEngine avx2_restart = *avx2;
-    ASSERT_TRUE(scalar_restart.Replay(db, pos).ok()) << "restart at " << pos;
-    ASSERT_TRUE(avx2_restart.Replay(db, pos).ok()) << "restart at " << pos;
+  const size_t shallow_end = scalar->output(0).scan_end;
+  size_t restarts = 0;
+  size_t past_shallow = 0;
+  for (size_t c = 0; c < positions.size(); ++c) {
+    const size_t pos = positions[c];
+    const size_t next =
+        c + 1 < positions.size() ? positions[c + 1] : db.num_tuples();
+    std::pair<XTupleId, TupleId> outcome;
+    if (!FindCleanFirstChangingIn(db, pos, next, &outcome)) continue;
+    DatabaseOverlay overlay(&db);
+    Result<ProbabilisticDatabase::CleanOutcomeDelta> delta =
+        overlay.ApplyCleanOutcome(outcome.first, outcome.second);
+    ASSERT_TRUE(delta.ok()) << delta.status();
+    PsrEngine::SessionState scalar_state = scalar->ForkSession();
+    PsrEngine::SessionState avx2_state = avx2->ForkSession();
+    ASSERT_TRUE(scalar
+                    ->ReplaySession(overlay, delta->first_changed_rank,
+                                    &scalar_state)
+                    .ok())
+        << "restart at " << pos;
+    ASSERT_TRUE(
+        avx2->ReplaySession(overlay, delta->first_changed_rank, &avx2_state)
+            .ok())
+        << "restart at " << pos;
+    Result<std::vector<PsrOutput>> scratch = ScanOverlayLadder(
+        overlay, ladder, options, ExecWith(KernelKind::kScalar));
+    ASSERT_TRUE(scratch.ok()) << scratch.status();
     for (size_t j = 0; j < ladder.size(); ++j) {
       const std::string label = "restart at " + std::to_string(pos) +
                                 " k=" + std::to_string(ladder[j]);
-      ExpectPsrBitwiseEqual(scalar_restart.output(j), avx2_restart.output(j),
+      ExpectPsrBitwiseEqual(scalar_state.output(j), avx2_state.output(j),
                             label);
-      ExpectPsrBitwiseEqual(scalar->output(j), scalar_restart.output(j),
-                            label + " vs full scan");
+      ExpectPsrBitwiseEqual((*scratch)[j], scalar_state.output(j),
+                            label + " vs from-scratch scan");
     }
+    ++restarts;
+    if (pos > shallow_end) ++past_shallow;
   }
+  // Nearly every checkpoint interval holds some x-tuple's best member.
+  EXPECT_GE(restarts + 2, positions.size());
+  EXPECT_GT(past_shallow, 0u);
 }
 
 TEST(KernelScan, PooledSessionOverlaysBitwiseEqualUnderCleans) {

@@ -1,17 +1,19 @@
 // Property tests for multi-k PSR sharing: a single ladder scan
-// (ComputePsrLadder, the ladder PsrEngine, the ladder CleaningSession)
-// must match independent single-k runs to 1e-12 at every rung -- at
-// creation, after random clean sequences, and across tombstone compaction
-// -- and the aggregated planning problem must reduce to the single-k one.
+// (ComputePsrLadder, the ladder PsrEngine, a ladder SessionPool session)
+// must match independent single-k runs at every rung -- to 1e-12 for the
+// one-shot scans, bitwise for a session after random clean sequences --
+// and the aggregated planning problem must reduce to the single-k one.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "clean/agent.h"
 #include "clean/problem.h"
-#include "clean/session.h"
+#include "clean/session_pool.h"
 #include "common/rng.h"
 #include "model/database.h"
 #include "quality/tp.h"
@@ -175,140 +177,162 @@ TEST(ComputeTpQualityLadder, MatchesSingleKRuns) {
   }
 }
 
-/// Draws a random clean outcome for a random still-uncertain x-tuple;
-/// returns false when the database is fully certain.
-bool ApplyRandomOutcome(CleaningSession* session, Rng* rng) {
-  const ProbabilisticDatabase& db = session->db();
-  std::vector<XTupleId> uncertain;
-  for (size_t l = 0; l < db.num_xtuples(); ++l) {
-    const auto& members = db.xtuple_members(static_cast<XTupleId>(l));
-    if (members.size() > 1 || db.tuple(members[0]).prob < 1.0) {
-      uncertain.push_back(static_cast<XTupleId>(l));
-    }
+/// Per-rung check of ladder session `id` against an independent single-k
+/// from-scratch PSR + TP pass over the session's overlay: every rung of
+/// the shared, replayed scan is bitwise the solo scan.
+void ExpectRungsMatchSingleK(const SessionPool& pool,
+                             SessionPool::SessionId id,
+                             const PsrOptions& options,
+                             const std::string& label) {
+  const DatabaseOverlay& view = pool.overlay(id);
+  for (size_t rung = 0; rung < pool.num_rungs(); ++rung) {
+    const size_t k = pool.ladder()[rung];
+    const std::string at = label + " k=" + std::to_string(k);
+    Result<std::vector<PsrOutput>> single =
+        ScanOverlayLadder(view, MakeLadder({k}), options);
+    ASSERT_TRUE(single.ok()) << single.status();
+    ExpectPsrBitwiseEq(pool.psr(id, rung), (*single)[0], at);
+    Result<TpOutput> tp = ComputeTpQuality(view, (*single)[0]);
+    ASSERT_TRUE(tp.ok()) << tp.status();
+    ExpectTpBitwiseEq(pool.tp(id, rung), *tp, at);
   }
-  if (uncertain.empty()) return false;
-  const XTupleId l = uncertain[static_cast<size_t>(
-      rng->UniformInt(0, static_cast<int64_t>(uncertain.size()) - 1))];
-  const auto& members = db.xtuple_members(l);
-  std::vector<double> weights;
-  for (int32_t idx : members) weights.push_back(db.tuple(idx).prob);
-  const Tuple& revealed = db.tuple(members[rng->Discrete(weights)]);
-  Status s = session->ApplyCleanOutcome(l, revealed.id);
-  EXPECT_TRUE(s.ok()) << s;
-  return true;
 }
 
 struct LadderSweepParam {
   int seed;
   std::vector<size_t> ks;
   bool store_matrix;
-  size_t compact_min;  // 1 = compact every refresh, SIZE_MAX = never
 };
 
 class LadderSweep : public ::testing::TestWithParam<LadderSweepParam> {};
 
 /// The core equivalence property: a ladder session under a random clean
-/// sequence (batched like adaptive rounds, with the parameterized
-/// compaction policy) matches a from-scratch single-k PSR + TP
-/// recomputation at EVERY rung after EVERY refresh.
+/// sequence (batched like adaptive rounds) matches a from-scratch
+/// single-k PSR + TP recomputation at EVERY rung after EVERY refresh.
 TEST_P(LadderSweep, MatchesSingleKFromScratchAtEveryStep) {
   const LadderSweepParam param = GetParam();
   Rng maker(static_cast<uint64_t>(param.seed));
   RandomDbOptions opts;
   opts.num_xtuples = 24;
   opts.max_alternatives = 4;
-  ProbabilisticDatabase db = MakeRandomDatabase(&maker, opts);
-
-  CleaningSession::Options options;
+  SessionPool::Options options;
   options.psr.store_rank_probabilities = param.store_matrix;
-  options.compact_min_tombstones = param.compact_min;
-  options.compact_min_fraction = 0.0;
   const KLadder ladder = MakeLadder(param.ks);
-  Result<CleaningSession> session =
-      CleaningSession::Start(std::move(db), ladder, options);
-  ASSERT_TRUE(session.ok()) << session.status();
-  ASSERT_EQ(session->num_rungs(), ladder.size());
-  EXPECT_EQ(session->k(), ladder.max_k());
+  Result<SessionPool> pool =
+      SessionPool::Create(MakeRandomDatabase(&maker, opts), ladder, options);
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  ASSERT_EQ(pool->num_rungs(), ladder.size());
+  const SessionPool::SessionId id = pool->OpenSession();
 
   Rng rng(static_cast<uint64_t>(param.seed) + 1000);
   for (int step = 0; step < 30; ++step) {
-    for (size_t rung = 0; rung < ladder.size(); ++rung) {
-      PsrOptions psr_options;
-      psr_options.store_rank_probabilities = param.store_matrix;
-      ExpectRungMatchesSingleK(session->db(), session->psr(rung),
-                               ladder[rung], psr_options);
-      ExpectTpMatchesSingleK(session->db(), session->tp(rung), ladder[rung]);
-      EXPECT_NEAR(session->quality(rung), session->tp(rung).quality, 0.0);
-    }
+    ExpectRungsMatchSingleK(*pool, id, options.psr,
+                            "step " + std::to_string(step));
     // Batch one to three outcomes per refresh, like an adaptive round.
     const int batch = static_cast<int>(rng.UniformInt(1, 3));
     bool any = false;
-    for (int b = 0; b < batch; ++b) any |= ApplyRandomOutcome(&*session, &rng);
-    ASSERT_TRUE(session->Refresh().ok());
+    for (int b = 0; b < batch; ++b) any |= ApplyRandomOutcome(&*pool, id, &rng);
+    ASSERT_TRUE(pool->Refresh(id).ok());
     if (!any) break;  // fully certain: nothing left to clean
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, LadderSweep,
-    ::testing::Values(
-        LadderSweepParam{101, {2, 5, 9}, true, 1},
-        LadderSweepParam{101, {2, 5, 9}, false, static_cast<size_t>(-1)},
-        LadderSweepParam{202, {1, 4}, false, 1},
-        LadderSweepParam{303, {3, 6, 10, 15}, false, 4},
-        LadderSweepParam{404, {1, 2, 3, 4, 5}, true, 4},
-        LadderSweepParam{505, {7}, false, static_cast<size_t>(-1)}),
+    ::testing::Values(LadderSweepParam{101, {2, 5, 9}, true},
+                      LadderSweepParam{101, {2, 5, 9}, false},
+                      LadderSweepParam{202, {1, 4}, false},
+                      LadderSweepParam{303, {3, 6, 10, 15}, false},
+                      LadderSweepParam{404, {1, 2, 3, 4, 5}, true},
+                      LadderSweepParam{505, {7}, false}),
     [](const auto& info) {
       const LadderSweepParam& p = info.param;
       std::string name = "s" + std::to_string(p.seed) + "L";
       for (size_t k : p.ks) name += std::to_string(k) + "_";
       name += p.store_matrix ? "mat" : "nomat";
-      name += p.compact_min == 1
-                  ? "eager"
-                  : (p.compact_min == static_cast<size_t>(-1) ? "never"
-                                                              : "lazy");
       return name;
     });
 
 TEST(PsrEngineThinning, Rank0CheckpointSurvivesThinningAndFullReplay) {
-  // Checkpoint interval 1 over a full (no early termination) scan of ~500
-  // live tuples overflows kMaxCheckpoints and forces thinning, which must
-  // leave the always-retained rank-0 snapshot intact: a clean at the very
-  // top of the ranking then replays the WHOLE scan from it. (Regression:
-  // the thinning loop used to self-move-assign checkpoint 0, emptying its
-  // count vector and corrupting every full replay after thinning.)
-  Rng maker(1357);
-  RandomDbOptions opts;
-  opts.num_xtuples = 200;
-  opts.max_alternatives = 4;
-  ProbabilisticDatabase db = MakeRandomDatabase(&maker, opts);
-
-  CleaningSession::Options options;
-  options.checkpoint_interval = 1;
-  options.psr.early_termination = false;
-  const KLadder ladder = MakeLadder({3, 8});
-  Result<CleaningSession> session =
-      CleaningSession::Start(std::move(db), ladder, options);
-  ASSERT_TRUE(session.ok()) << session.status();
-
-  const Tuple top = session->db().tuple(0);
-  ASSERT_TRUE(
-      session->ApplyCleanOutcome(top.xtuple, top.is_null ? -1 : top.id).ok());
-  ASSERT_TRUE(session->Refresh().ok());
-  for (size_t rung = 0; rung < ladder.size(); ++rung) {
-    PsrOptions psr_options;
-    psr_options.early_termination = false;
-    ExpectRungMatchesSingleK(session->db(), session->psr(rung), ladder[rung],
-                             psr_options);
-    ExpectTpMatchesSingleK(session->db(), session->tp(rung), ladder[rung],
-                           psr_options);
+  // A session's private checkpoint list must thin without losing its
+  // always-retained rank-0 snapshot. (Regression: the thinning loop used
+  // to self-move-assign checkpoint 0, emptying its count vector and
+  // corrupting every full replay after thinning.)
+  //
+  // The shape forces a private list far longer than the shared one. The
+  // top x-tuples are near-certain, so the shared scan's Lemma-2 stop
+  // fires within a few dozen ranks and leaves the checkpoint interval at
+  // 1 (no shared thinning), which every session inherits. Resolving the
+  // near-certain x-tuples to absent leaves only p = 0.2 tuples, so the
+  // session's scan runs past kMaxCheckpoints live tuples: its first
+  // refresh (a rank-0 clean) replays the whole scan from the shared
+  // rank-0 snapshot into a private list that must thin. A second clean at
+  // rank 1 then restores the session's own rank-0 snapshot -- the one the
+  // thinning must have kept intact.
+  constexpr size_t kTop = 20;
+  DatabaseBuilder builder;
+  TupleId next_id = 0;
+  for (size_t l = 0; l < kTop + 400; ++l) {
+    const XTupleId x = builder.AddXTuple();
+    const bool top = l < kTop;
+    ASSERT_TRUE(builder
+                    .AddAlternative(x, next_id++,
+                                    1000.0 - static_cast<double>(l),
+                                    top ? 0.999 : 0.2)
+                    .ok());
   }
+  Result<ProbabilisticDatabase> db = std::move(builder).Finish();
+  ASSERT_TRUE(db.ok()) << db.status();
+  const KLadder ladder = MakeLadder({3, 8});
+  SessionPool::Options options;
+  options.checkpoint_interval = 1;
+
+  // The pool's engine is deterministic in (db, request): an identical
+  // engine shows its shared checkpoints sit at every live tuple, never
+  // thinned (interval still 1).
+  ScanRequest request;
+  request.ladder = ladder;
+  request.checkpoint_interval = 1;
+  Result<PsrEngine> engine = PsrEngine::Create(*db, request);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  const std::vector<size_t> shared = engine->checkpoint_positions();
+  ASSERT_LT(shared.size(), PsrEngine::kMaxCheckpoints);
+  ASSERT_EQ(shared.back(), shared.size() - 1);
+
+  Result<SessionPool> pool = SessionPool::Create(*db, ladder, options);
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  const SessionPool::SessionId id = pool->OpenSession();
+  // Ranks follow x-tuple order (descending scores, one real alternative
+  // each); the top x-tuples' null alternatives rank below every real one.
+  for (size_t l = 0; l < kTop; ++l) {
+    if (l == 1) continue;
+    ASSERT_TRUE(
+        pool->ApplyCleanOutcome(id, static_cast<XTupleId>(l), -1).ok());
+  }
+  ASSERT_EQ(pool->overlay(id).divergence_rank(), 0u);
+  ASSERT_TRUE(pool->Refresh(id).ok());
+  ExpectRungsMatchSingleK(*pool, id, options.psr, "after rank-0 clean");
+
+  // At interval 1 the private list takes a snapshot per live tuple, so a
+  // deep-rung scan over more than kMaxCheckpoints + 1 live tuples has
+  // thinned it.
+  const DatabaseOverlay& view = pool->overlay(id);
+  size_t live = 0;
+  for (size_t i = 0; i < pool->psr(id, 1).scan_end; ++i) {
+    if (!view.is_tombstone(i)) ++live;
+  }
+  ASSERT_GT(live, PsrEngine::kMaxCheckpoints + 1);
+
+  ASSERT_TRUE(pool->ApplyCleanOutcome(id, /*xtuple=*/1, -1).ok());
+  ASSERT_TRUE(pool->Refresh(id).ok());
+  ExpectRungsMatchSingleK(*pool, id, options.psr,
+                          "replay from the private rank-0 snapshot");
 }
 
 TEST(LadderSession, MatchesPerKSessionsUnderSharedOutcomeStream) {
-  // One ladder session and one single-k session per rung consume the SAME
-  // outcome stream; after every round each rung must agree with its
-  // dedicated session bitwise-to-1e-12.
+  // One ladder session and one single-k session per rung (each in its own
+  // pool) consume the SAME outcome stream; after every round each rung
+  // must agree with its single-k session bitwise.
   Rng maker(90210);
   RandomDbOptions opts;
   opts.num_xtuples = 18;
@@ -316,61 +340,49 @@ TEST(LadderSession, MatchesPerKSessionsUnderSharedOutcomeStream) {
   ProbabilisticDatabase base = MakeRandomDatabase(&maker, opts);
   const KLadder ladder = MakeLadder({2, 4, 8});
 
-  Result<CleaningSession> shared =
-      CleaningSession::Start(ProbabilisticDatabase(base), ladder);
+  Result<SessionPool> shared =
+      SessionPool::Create(ProbabilisticDatabase(base), ladder);
   ASSERT_TRUE(shared.ok());
-  std::vector<CleaningSession> per_k;
+  const SessionPool::SessionId shared_id = shared->OpenSession();
+  std::vector<SessionPool> per_k;
   for (size_t rung = 0; rung < ladder.size(); ++rung) {
-    Result<CleaningSession> single =
-        CleaningSession::Start(ProbabilisticDatabase(base), ladder[rung]);
+    Result<SessionPool> single = SessionPool::Create(
+        ProbabilisticDatabase(base), MakeLadder({ladder[rung]}));
     ASSERT_TRUE(single.ok());
     per_k.push_back(std::move(single).value());
+    ASSERT_EQ(per_k.back().OpenSession(), shared_id);
   }
 
   Rng outcome_rng(777);
   for (int round = 0; round < 12; ++round) {
-    // Draw the round's outcomes once, against the shared session's db.
+    // Draw the round's outcomes once, against the shared session's view.
     std::vector<std::pair<XTupleId, TupleId>> outcomes;
-    const ProbabilisticDatabase& db = shared->db();
     for (int draw = 0; draw < 2; ++draw) {
-      std::vector<XTupleId> uncertain;
-      for (size_t l = 0; l < db.num_xtuples(); ++l) {
-        const auto& members = db.xtuple_members(static_cast<XTupleId>(l));
-        if (members.size() > 1 || db.tuple(members[0]).prob < 1.0) {
-          uncertain.push_back(static_cast<XTupleId>(l));
-        }
+      std::pair<XTupleId, TupleId> outcome;
+      if (!DrawRandomOutcome(shared->overlay(shared_id), &outcome_rng,
+                             &outcome)) {
+        break;
       }
-      if (uncertain.empty()) break;
-      const XTupleId l = uncertain[static_cast<size_t>(outcome_rng.UniformInt(
-          0, static_cast<int64_t>(uncertain.size()) - 1))];
       bool already_drawn = false;
-      for (const auto& outcome : outcomes) {
-        already_drawn |= outcome.first == l;
+      for (const auto& other : outcomes) {
+        already_drawn |= other.first == outcome.first;
       }
-      if (already_drawn) continue;  // one resolution per x-tuple per round
-      const auto& members = db.xtuple_members(l);
-      std::vector<double> weights;
-      for (int32_t idx : members) weights.push_back(db.tuple(idx).prob);
-      outcomes.emplace_back(
-          l, db.tuple(members[outcome_rng.Discrete(weights)]).id);
+      if (!already_drawn) outcomes.push_back(outcome);
     }
     if (outcomes.empty()) break;
     for (const auto& [xtuple, resolved] : outcomes) {
-      ASSERT_TRUE(shared->ApplyCleanOutcome(xtuple, resolved).ok());
-      for (CleaningSession& single : per_k) {
-        ASSERT_TRUE(single.ApplyCleanOutcome(xtuple, resolved).ok());
+      ASSERT_TRUE(shared->ApplyCleanOutcome(shared_id, xtuple, resolved).ok());
+      for (SessionPool& single : per_k) {
+        ASSERT_TRUE(single.ApplyCleanOutcome(shared_id, xtuple, resolved).ok());
       }
     }
-    ASSERT_TRUE(shared->Refresh().ok());
+    ASSERT_TRUE(shared->Refresh(shared_id).ok());
     for (size_t rung = 0; rung < ladder.size(); ++rung) {
-      ASSERT_TRUE(per_k[rung].Refresh().ok());
-      EXPECT_NEAR(shared->quality(rung), per_k[rung].quality(), kTol)
-          << "round " << round << " k=" << ladder[rung];
-      const TpOutput& a = shared->tp(rung);
-      const TpOutput& b = per_k[rung].tp();
-      for (size_t l = 0; l < a.xtuple_gain.size(); ++l) {
-        EXPECT_NEAR(a.xtuple_gain[l], b.xtuple_gain[l], kTol);
-      }
+      ASSERT_TRUE(per_k[rung].Refresh(shared_id).ok());
+      ExpectTpBitwiseEq(shared->tp(shared_id, rung),
+                        per_k[rung].tp(shared_id),
+                        "round " + std::to_string(round) +
+                            " k=" + std::to_string(ladder[rung]));
     }
   }
 }
@@ -394,46 +406,42 @@ TEST(LadderSession, ShrinkingScanEndLeavesNoStaleOmega) {
   const ProbabilisticDatabase base = MakeRandomDatabase(&maker, opts);
   const KLadder ladder = MakeLadder({2, 6});
 
-  CleaningSession::Options options;
-  options.compact_min_tombstones = static_cast<size_t>(-1);  // keep indices
   bool shrunk = false;
   for (size_t l = 0; l < base.num_xtuples() && !shrunk; ++l) {
     const auto& members = base.xtuple_members(static_cast<XTupleId>(l));
     if (members.size() < 2 || base.tuple(members.front()).is_null) continue;
-    Result<CleaningSession> session = CleaningSession::Start(
-        ProbabilisticDatabase(base), ladder, options);
-    ASSERT_TRUE(session.ok()) << session.status();
+    Result<SessionPool> pool =
+        SessionPool::Create(ProbabilisticDatabase(base), ladder);
+    ASSERT_TRUE(pool.ok()) << pool.status();
+    const SessionPool::SessionId id = pool->OpenSession();
     std::vector<size_t> old_ends;
     for (size_t rung = 0; rung < ladder.size(); ++rung) {
-      old_ends.push_back(session->psr(rung).scan_end);
+      old_ends.push_back(pool->psr(id, rung).scan_end);
     }
-    ASSERT_TRUE(session
-                    ->ApplyCleanOutcome(static_cast<XTupleId>(l),
+    ASSERT_TRUE(pool->ApplyCleanOutcome(id, static_cast<XTupleId>(l),
                                         base.tuple(members.front()).id)
                     .ok());
-    ASSERT_TRUE(session->Refresh().ok());
+    ASSERT_TRUE(pool->Refresh(id).ok());
     for (size_t rung = 0; rung < ladder.size(); ++rung) {
-      shrunk |= session->psr(rung).scan_end < old_ends[rung];
+      shrunk |= pool->psr(id, rung).scan_end < old_ends[rung];
     }
     if (!shrunk) continue;
 
     for (size_t rung = 0; rung < ladder.size(); ++rung) {
-      const TpOutput& tp = session->tp(rung);
-      EXPECT_EQ(tp.scan_end, session->psr(rung).scan_end);
+      const TpOutput& tp = pool->tp(id, rung);
+      EXPECT_EQ(tp.scan_end, pool->psr(id, rung).scan_end);
       for (size_t i = tp.scan_end; i < tp.omega.size(); ++i) {
         EXPECT_EQ(tp.omega[i], 0.0)
             << "stale omega at rank " << i << " (scan_end " << tp.scan_end
             << ", pre-clean scan_end " << old_ends[rung] << ")";
       }
-      ExpectTpMatchesSingleK(session->db(), tp, ladder[rung]);
     }
+    ExpectRungsMatchSingleK(*pool, id, {}, "after the shrinking clean");
     // A second clean (and replay) over the shrunken state must stay
     // exact: this is the pass a stale omega suffix would poison.
-    ASSERT_TRUE(ApplyRandomOutcome(&*session, &maker));
-    ASSERT_TRUE(session->Refresh().ok());
-    for (size_t rung = 0; rung < ladder.size(); ++rung) {
-      ExpectTpMatchesSingleK(session->db(), session->tp(rung), ladder[rung]);
-    }
+    ASSERT_TRUE(ApplyRandomOutcome(&*pool, id, &maker));
+    ASSERT_TRUE(pool->Refresh(id).ok());
+    ExpectRungsMatchSingleK(*pool, id, {}, "after a second clean");
   }
   ASSERT_TRUE(shrunk) << "no clean shrank any rung's scan_end; the "
                          "regression scenario was not exercised";

@@ -1,24 +1,23 @@
-// Property tests for the SessionPool: every pooled session -- a
-// copy-on-write DatabaseOverlay plus a forked PsrEngine::SessionState over
-// ONE shared base scan -- must match a dedicated CleaningSession fed the
-// same outcomes to 1e-12 at every rung after every refresh, under
-// interleaved cleans across sessions, dedicated-side compaction, and
-// open/close churn; close-and-merge must materialize exactly the
-// dedicated session's cleaned database; and dirty-state reads must be a
-// hard failure in EVERY build type (the Release-mode stale-read
-// regression).
+// Property tests for the SessionPool, the library's one mutation model:
+// every session -- a copy-on-write DatabaseOverlay plus a forked
+// PsrEngine::SessionState over ONE shared base scan -- must equal, bitwise
+// at every rung after every refresh, a from-scratch ComputePsrLadder +
+// ComputeTpQuality over its own overlay, under interleaved cleans across
+// sessions and open/close churn; close-and-merge must materialize exactly
+// the database that collapsing the same outcomes in place yields; and
+// dirty-state reads must be a hard failure in EVERY build type (the
+// Release-mode stale-read regression).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "clean/agent.h"
-#include "clean/session.h"
 #include "clean/session_pool.h"
 #include "common/rng.h"
 #include "model/database.h"
@@ -32,113 +31,30 @@
 namespace uclean {
 namespace {
 
-constexpr double kTol = 1e-12;
-
 KLadder MakeLadder(std::vector<size_t> ks) {
   Result<KLadder> ladder = KLadder::Of(std::move(ks));
   UCLEAN_CHECK(ladder.ok());
   return std::move(ladder).value();
 }
 
-/// Eager-compaction options for the dedicated arm: the pooled arm never
-/// compacts (overlays keep base rank indices), so agreement across
-/// compaction proves the comparison is representation-independent.
-CleaningSession::Options EagerCompaction() {
-  CleaningSession::Options options;
-  options.compact_min_tombstones = 1;
-  options.compact_min_fraction = 0.0;
-  return options;
-}
-
-/// Top-k probabilities keyed by tuple id (stable across compaction and
-/// overlay representation), live tuples only.
-std::map<TupleId, double> TopkById(const ProbabilisticDatabase& db,
-                                   const PsrOutput& psr) {
-  std::map<TupleId, double> out;
-  for (size_t i = 0; i < db.num_tuples(); ++i) {
-    if (db.is_tombstone(i)) continue;
-    out[db.tuple(i).id] = psr.topk_prob[i];
-  }
-  return out;
-}
-
-std::map<TupleId, double> TopkById(const DatabaseOverlay& view,
-                                   const PsrOutput& psr) {
-  std::map<TupleId, double> out;
-  for (size_t i = 0; i < view.num_tuples(); ++i) {
-    if (view.is_tombstone(i)) continue;
-    out[view.tuple(i).id] = psr.topk_prob[i];
-  }
-  return out;
-}
-
-/// The acceptance property: pooled session `id` agrees with `dedicated`
-/// (same outcome stream) at every rung -- qualities, per-x-tuple gain and
-/// mass tables, and per-tuple top-k probabilities -- to 1e-12.
-void ExpectMatchesDedicated(const SessionPool& pool, SessionPool::SessionId id,
-                            const CleaningSession& dedicated) {
-  ASSERT_EQ(pool.num_rungs(), dedicated.num_rungs());
-  for (size_t rung = 0; rung < pool.num_rungs(); ++rung) {
-    EXPECT_NEAR(pool.quality(id, rung), dedicated.quality(rung), kTol)
-        << "rung " << rung;
-
-    const TpOutput& pool_tp = pool.tp(id, rung);
-    const TpOutput& ded_tp = dedicated.tp(rung);
-    ASSERT_EQ(pool_tp.xtuple_gain.size(), ded_tp.xtuple_gain.size());
-    for (size_t l = 0; l < ded_tp.xtuple_gain.size(); ++l) {
-      EXPECT_NEAR(pool_tp.xtuple_gain[l], ded_tp.xtuple_gain[l], kTol)
-          << "rung " << rung << " x-tuple " << l;
-      EXPECT_NEAR(pool_tp.xtuple_topk_mass[l], ded_tp.xtuple_topk_mass[l],
-                  kTol)
-          << "rung " << rung << " x-tuple " << l;
-    }
-
-    const PsrOutput& pool_psr = pool.psr(id, rung);
-    const PsrOutput& ded_psr = dedicated.psr(rung);
-    EXPECT_EQ(pool_psr.num_nonzero, ded_psr.num_nonzero) << "rung " << rung;
-    const std::map<TupleId, double> pool_topk =
-        TopkById(pool.overlay(id), pool_psr);
-    const std::map<TupleId, double> ded_topk =
-        TopkById(dedicated.db(), ded_psr);
-    ASSERT_EQ(pool_topk.size(), ded_topk.size()) << "rung " << rung;
-    for (const auto& [tuple_id, prob] : ded_topk) {
-      const auto it = pool_topk.find(tuple_id);
-      ASSERT_NE(it, pool_topk.end()) << "tuple " << tuple_id;
-      EXPECT_NEAR(it->second, prob, kTol)
-          << "rung " << rung << " tuple " << tuple_id;
-    }
-  }
-}
-
-/// Draws up to `count` random clean outcomes against the dedicated
-/// session's database (ids are stable, so they apply verbatim to the
-/// pooled twin); empty when the database is fully certain.
-std::vector<std::pair<XTupleId, TupleId>> DrawOutcomes(
-    const ProbabilisticDatabase& db, int count, Rng* rng) {
+/// Draws up to `count` clean outcomes for distinct still-uncertain
+/// x-tuples of `view` (one resolution per x-tuple per round); empty when
+/// the view is fully certain.
+template <typename View>
+std::vector<std::pair<XTupleId, TupleId>> DrawOutcomes(const View& view,
+                                                       int count, Rng* rng) {
   std::vector<std::pair<XTupleId, TupleId>> outcomes;
   for (int draw = 0; draw < count; ++draw) {
-    std::vector<XTupleId> uncertain;
-    for (size_t l = 0; l < db.num_xtuples(); ++l) {
-      const auto& members = db.xtuple_members(static_cast<XTupleId>(l));
-      if (members.size() > 1 || db.tuple(members[0]).prob < 1.0) {
-        uncertain.push_back(static_cast<XTupleId>(l));
-      }
-    }
-    if (uncertain.empty()) break;
-    const XTupleId l = uncertain[static_cast<size_t>(
-        rng->UniformInt(0, static_cast<int64_t>(uncertain.size()) - 1))];
+    std::pair<XTupleId, TupleId> outcome;
+    if (!DrawRandomOutcome(view, rng, &outcome)) break;
     bool already = false;
-    for (const auto& outcome : outcomes) already |= outcome.first == l;
-    if (already) continue;  // one resolution per x-tuple per round
-    const auto& members = db.xtuple_members(l);
-    std::vector<double> weights;
-    for (int32_t idx : members) weights.push_back(db.tuple(idx).prob);
-    outcomes.emplace_back(l, db.tuple(members[rng->Discrete(weights)]).id);
+    for (const auto& other : outcomes) already |= other.first == outcome.first;
+    if (!already) outcomes.push_back(outcome);
   }
   return outcomes;
 }
 
-TEST(SessionPool, SessionsMatchDedicatedUnderInterleavedCleans) {
+TEST(SessionPool, SessionsMatchOverlayScanUnderInterleavedCleans) {
   Rng maker(424242);
   RandomDbOptions opts;
   opts.num_xtuples = 24;
@@ -153,17 +69,10 @@ TEST(SessionPool, SessionsMatchDedicatedUnderInterleavedCleans) {
   EXPECT_EQ(pool->ladder().ks, ladder.ks);
 
   std::vector<SessionPool::SessionId> ids;
-  std::vector<CleaningSession> dedicated;
-  for (size_t s = 0; s < kSessions; ++s) {
-    ids.push_back(pool->OpenSession());
-    Result<CleaningSession> single = CleaningSession::Start(
-        ProbabilisticDatabase(base), ladder, EagerCompaction());
-    ASSERT_TRUE(single.ok()) << single.status();
-    dedicated.push_back(std::move(single).value());
-  }
+  for (size_t s = 0; s < kSessions; ++s) ids.push_back(pool->OpenSession());
   EXPECT_EQ(pool->num_open(), kSessions);
   for (size_t s = 0; s < kSessions; ++s) {
-    ExpectMatchesDedicated(*pool, ids[s], dedicated[s]);
+    ExpectMatchesOverlayScan(*pool, ids[s], {}, "open");
   }
 
   Rng rng(99999);
@@ -172,22 +81,20 @@ TEST(SessionPool, SessionsMatchDedicatedUnderInterleavedCleans) {
     // s+1 steps), so refreshes interleave with other sessions' applies.
     for (size_t s = 0; s < kSessions; ++s) {
       if (step % static_cast<int>(s + 1) != 0) continue;
-      const auto outcomes =
-          DrawOutcomes(dedicated[s].db(), 1 + static_cast<int>(s % 2), &rng);
-      for (const auto& [xtuple, resolved] : outcomes) {
+      for (const auto& [xtuple, resolved] : DrawOutcomes(
+               pool->overlay(ids[s]), 1 + static_cast<int>(s % 2), &rng)) {
         ASSERT_TRUE(pool->ApplyCleanOutcome(ids[s], xtuple, resolved).ok());
-        ASSERT_TRUE(dedicated[s].ApplyCleanOutcome(xtuple, resolved).ok());
       }
     }
-    // Refresh pooled sessions in reverse order, dedicated in forward
-    // order: agreement despite the asymmetry shows refreshes are
-    // order-independent across sessions.
+    // Refresh in reverse session order: agreement with each session's
+    // own from-scratch scan shows refreshes are order-independent.
     for (size_t s = kSessions; s-- > 0;) {
       ASSERT_TRUE(pool->Refresh(ids[s]).ok());
     }
     for (size_t s = 0; s < kSessions; ++s) {
-      ASSERT_TRUE(dedicated[s].Refresh().ok());
-      ExpectMatchesDedicated(*pool, ids[s], dedicated[s]);
+      ExpectMatchesOverlayScan(*pool, ids[s], {},
+                               "step " + std::to_string(step) + " session " +
+                                   std::to_string(s));
     }
   }
   // The shared base never absorbed anyone's cleans.
@@ -223,28 +130,22 @@ TEST(SessionPool, ChurnReopensCleanSlots) {
   EXPECT_EQ(reused, first);  // slot recycled
   EXPECT_EQ(pool->overlay(reused).num_outcomes(), 0u);
   for (size_t rung = 0; rung < pool->num_rungs(); ++rung) {
-    EXPECT_NEAR(pool->quality(reused, rung), pool->base_tp(rung).quality,
-                0.0);
+    EXPECT_EQ(pool->quality(reused, rung), pool->base_tp(rung).quality);
   }
 
-  // A session opened mid-stream behaves exactly like a dedicated session
-  // started from the base now.
-  Result<CleaningSession> dedicated = CleaningSession::Start(
-      ProbabilisticDatabase(base), ladder, EagerCompaction());
-  ASSERT_TRUE(dedicated.ok());
+  // A session opened mid-stream stays exact through its own cleans.
   for (int round = 0; round < 4; ++round) {
     for (const auto& [xtuple, resolved] :
-         DrawOutcomes(dedicated->db(), 2, &rng)) {
+         DrawOutcomes(pool->overlay(reused), 2, &rng)) {
       ASSERT_TRUE(pool->ApplyCleanOutcome(reused, xtuple, resolved).ok());
-      ASSERT_TRUE(dedicated->ApplyCleanOutcome(xtuple, resolved).ok());
     }
     ASSERT_TRUE(pool->Refresh(reused).ok());
-    ASSERT_TRUE(dedicated->Refresh().ok());
-    ExpectMatchesDedicated(*pool, reused, *dedicated);
+    ExpectMatchesOverlayScan(*pool, reused, {},
+                             "round " + std::to_string(round));
   }
 }
 
-TEST(SessionPool, CloseAndMergeMaterializesTheDedicatedDatabase) {
+TEST(SessionPool, CloseAndMergeEqualsInPlaceCollapse) {
   Rng maker(2024);
   RandomDbOptions opts;
   opts.num_xtuples = 14;
@@ -252,18 +153,21 @@ TEST(SessionPool, CloseAndMergeMaterializesTheDedicatedDatabase) {
   ProbabilisticDatabase base = MakeRandomDatabase(&maker, opts);
 
   Result<SessionPool> pool =
-      SessionPool::Create(ProbabilisticDatabase(base), /*k=*/4);
+      SessionPool::Create(ProbabilisticDatabase(base), MakeLadder({4}));
   ASSERT_TRUE(pool.ok());
   const SessionPool::SessionId id = pool->OpenSession();
-  Result<CleaningSession> dedicated =
-      CleaningSession::Start(ProbabilisticDatabase(base), /*k=*/4);
-  ASSERT_TRUE(dedicated.ok());
 
+  // Reference: the same outcomes collapsed in place on a copy, then
+  // compacted.
+  ProbabilisticDatabase reference = base;
   Rng rng(55);
-  for (const auto& [xtuple, resolved] : DrawOutcomes(base, 5, &rng)) {
+  const auto outcomes = DrawOutcomes(base, 5, &rng);
+  ASSERT_FALSE(outcomes.empty());
+  for (const auto& [xtuple, resolved] : outcomes) {
     ASSERT_TRUE(pool->ApplyCleanOutcome(id, xtuple, resolved).ok());
-    ASSERT_TRUE(dedicated->ApplyCleanOutcome(xtuple, resolved).ok());
+    ASSERT_TRUE(reference.ApplyCleanOutcome(xtuple, resolved).ok());
   }
+  reference.CompactTombstones();
   // Merge the still-dirty session: materialization consumes the recorded
   // outcomes, not the (deliberately stale) scan state.
   ASSERT_TRUE(pool->dirty(id));
@@ -271,7 +175,6 @@ TEST(SessionPool, CloseAndMergeMaterializesTheDedicatedDatabase) {
   ASSERT_TRUE(merged.ok()) << merged.status();
   EXPECT_EQ(pool->num_open(), 0u);
 
-  const ProbabilisticDatabase reference = std::move(*dedicated).TakeDatabase();
   ASSERT_EQ(merged->num_tuples(), reference.num_tuples());
   EXPECT_FALSE(merged->has_tombstones());
   for (size_t i = 0; i < reference.num_tuples(); ++i) {
@@ -280,12 +183,16 @@ TEST(SessionPool, CloseAndMergeMaterializesTheDedicatedDatabase) {
     EXPECT_EQ(a.id, b.id) << "rank " << i;
     EXPECT_EQ(a.xtuple, b.xtuple) << "rank " << i;
     EXPECT_EQ(a.is_null, b.is_null) << "rank " << i;
-    EXPECT_DOUBLE_EQ(a.prob, b.prob) << "rank " << i;
-    EXPECT_DOUBLE_EQ(a.score, b.score) << "rank " << i;
+    EXPECT_EQ(a.prob, b.prob) << "rank " << i;
+    EXPECT_EQ(a.score, b.score) << "rank " << i;
   }
 }
 
-TEST(SessionPool, ExecutePlanOverloadMatchesDedicatedSession) {
+TEST(SessionPool, ExecutePlanMatchesOneShotExecution) {
+  // The session overload of ExecutePlan must consume the same random
+  // stream as the one-shot database overload, and the session's refreshed
+  // quality must equal a from-scratch pass over the one-shot's cleaned
+  // (compacted) database.
   Rng maker(91);
   RandomDbOptions opts;
   opts.num_xtuples = 10;
@@ -300,33 +207,29 @@ TEST(SessionPool, ExecutePlanOverloadMatchesDedicatedSession) {
   for (size_t l = 0; l < probes.size(); l += 2) probes[l] = 2;
 
   const size_t k = 3;
-  for (uint64_t seed = 1; seed <= 3; ++seed) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
     Result<SessionPool> pool =
-        SessionPool::Create(ProbabilisticDatabase(base), k);
+        SessionPool::Create(ProbabilisticDatabase(base), MakeLadder({k}));
     ASSERT_TRUE(pool.ok());
     const SessionPool::SessionId id = pool->OpenSession();
-    Result<CleaningSession> session =
-        CleaningSession::Start(ProbabilisticDatabase(base), k);
-    ASSERT_TRUE(session.ok());
 
     Rng rng_a(seed), rng_b(seed);
     Result<SessionExecutionReport> pooled =
         ExecutePlan(&*pool, id, profile, probes, &rng_a);
     ASSERT_TRUE(pooled.ok()) << pooled.status();
-    Result<SessionExecutionReport> single =
-        ExecutePlan(&*session, profile, probes, &rng_b);
-    ASSERT_TRUE(single.ok());
+    Result<ExecutionReport> one_shot =
+        ExecutePlan(base, profile, probes, &rng_b);
+    ASSERT_TRUE(one_shot.ok()) << one_shot.status();
 
-    EXPECT_EQ(pooled->spent, single->spent);
-    EXPECT_EQ(pooled->leftover, single->leftover);
-    EXPECT_EQ(pooled->successes, single->successes);
-    ASSERT_EQ(pooled->log.size(), single->log.size());
-    for (size_t j = 0; j < single->log.size(); ++j) {
-      EXPECT_EQ(pooled->log[j].resolved_id, single->log[j].resolved_id);
-    }
+    EXPECT_EQ(pooled->spent, one_shot->spent);
+    EXPECT_EQ(pooled->leftover, one_shot->leftover);
+    EXPECT_EQ(pooled->successes, one_shot->successes);
+    EXPECT_EQ(pooled->log, one_shot->log);
     ASSERT_TRUE(pool->Refresh(id).ok());
-    ASSERT_TRUE(session->Refresh().ok());
-    ExpectMatchesDedicated(*pool, id, *session);
+    ExpectMatchesOverlayScan(*pool, id, {}, "seed " + std::to_string(seed));
+    Result<TpOutput> one_shot_tp = ComputeTpQuality(one_shot->cleaned_db, k);
+    ASSERT_TRUE(one_shot_tp.ok());
+    EXPECT_EQ(pool->quality(id), one_shot_tp->quality);
   }
 }
 
@@ -334,13 +237,17 @@ TEST(SessionPool, ValidatesArguments) {
   Rng maker(5);
   ProbabilisticDatabase base = MakeRandomDatabase(&maker, {});
 
-  EXPECT_FALSE(SessionPool::Create(ProbabilisticDatabase(base), 0).ok());
+  // A single k is a one-rung ladder; k = 0 never gets that far.
+  EXPECT_FALSE(KLadder::Of({0}).ok());
+  KLadder zero;
+  zero.ks = {0};
+  EXPECT_FALSE(SessionPool::Create(ProbabilisticDatabase(base), zero).ok());
   KLadder bad;
   bad.ks = {5, 3};
   EXPECT_FALSE(SessionPool::Create(ProbabilisticDatabase(base), bad).ok());
 
   Result<SessionPool> pool =
-      SessionPool::Create(ProbabilisticDatabase(base), 2);
+      SessionPool::Create(ProbabilisticDatabase(base), MakeLadder({2}));
   ASSERT_TRUE(pool.ok());
   EXPECT_FALSE(pool->ApplyCleanOutcome(0, 0, 0).ok());  // never opened
   EXPECT_FALSE(pool->Refresh(99).ok());
@@ -382,14 +289,6 @@ void ExpectAliasesBase(const SessionPool& pool, SessionPool::SessionId id) {
     EXPECT_EQ(&pool.tps(id)[rung], &pool.base_tp(rung)) << "rung " << rung;
     EXPECT_EQ(pool.quality(id, rung), pool.base_tp(rung).quality);
   }
-}
-
-void ExpectTpBitwiseEq(const TpOutput& a, const TpOutput& b) {
-  EXPECT_EQ(a.quality, b.quality);
-  EXPECT_EQ(a.scan_end, b.scan_end);
-  EXPECT_EQ(a.omega, b.omega);
-  EXPECT_EQ(a.xtuple_gain, b.xtuple_gain);
-  EXPECT_EQ(a.xtuple_topk_mass, b.xtuple_topk_mass);
 }
 
 TEST(SessionPoolLazy, PristineSessionsAliasTheSharedState) {
@@ -477,7 +376,8 @@ TEST(SessionPoolLazy, FirstOutcomeMaterializesTheEagerFork) {
     EXPECT_EQ(got.scan_end, want.scan_end);
     EXPECT_EQ(got.best_rank_prob, want.best_rank_prob);
     EXPECT_EQ(got.best_rank_index, want.best_rank_index);
-    ExpectTpBitwiseEq(pool->tp(id, rung), eager_tps[rung]);
+    ExpectTpBitwiseEq(pool->tp(id, rung), eager_tps[rung],
+                      "rung " + std::to_string(rung));
   }
 }
 
@@ -493,29 +393,22 @@ TEST(SessionPoolLazy, RefreshAllMixesPristineAndCleanedSessions) {
   // Sessions 0 and 2 clean, 1 and 3 stay pristine.
   constexpr size_t kSessions = 4;
   std::vector<SessionPool::SessionId> ids;
-  std::vector<CleaningSession> dedicated;
-  for (size_t s = 0; s < kSessions; ++s) {
-    ids.push_back(pool->OpenSession());
-    Result<CleaningSession> single = CleaningSession::Start(
-        ProbabilisticDatabase(base), ladder, EagerCompaction());
-    ASSERT_TRUE(single.ok()) << single.status();
-    dedicated.push_back(std::move(single).value());
-  }
+  for (size_t s = 0; s < kSessions; ++s) ids.push_back(pool->OpenSession());
   Rng rng(2718);
   for (int round = 0; round < 3; ++round) {
     for (size_t s = 0; s < kSessions; s += 2) {
       for (const auto& [xtuple, resolved] :
-           DrawOutcomes(dedicated[s].db(), 2, &rng)) {
+           DrawOutcomes(pool->overlay(ids[s]), 2, &rng)) {
         ASSERT_TRUE(pool->ApplyCleanOutcome(ids[s], xtuple, resolved).ok());
-        ASSERT_TRUE(dedicated[s].ApplyCleanOutcome(xtuple, resolved).ok());
       }
-      ASSERT_TRUE(dedicated[s].Refresh().ok());
     }
     ASSERT_TRUE(pool->RefreshAll().ok());
     for (size_t s = 0; s < kSessions; ++s) {
       EXPECT_FALSE(pool->dirty(ids[s]));
       if (s % 2 == 1) ExpectAliasesBase(*pool, ids[s]);
-      ExpectMatchesDedicated(*pool, ids[s], dedicated[s]);
+      ExpectMatchesOverlayScan(*pool, ids[s], {},
+                               "round " + std::to_string(round) +
+                                   " session " + std::to_string(s));
     }
   }
 }
@@ -605,7 +498,7 @@ TEST(SessionPoolDeathTest, DirtyReadsAreAHardFailureInEveryBuildType) {
   ProbabilisticDatabase base = MakeRandomDatabase(&maker, opts);
 
   Result<SessionPool> pool =
-      SessionPool::Create(ProbabilisticDatabase(base), 3);
+      SessionPool::Create(ProbabilisticDatabase(base), MakeLadder({3}));
   ASSERT_TRUE(pool.ok());
   const SessionPool::SessionId id = pool->OpenSession();
   Rng rng(7);
@@ -619,16 +512,6 @@ TEST(SessionPoolDeathTest, DirtyReadsAreAHardFailureInEveryBuildType) {
   EXPECT_DEATH(pool->tp(id), "UCLEAN_CHECK failed");
   EXPECT_DEATH(pool->psr(id), "UCLEAN_CHECK failed");
   EXPECT_DEATH(pool->tps(id), "UCLEAN_CHECK failed");
-
-  Result<CleaningSession> session = CleaningSession::Start(std::move(base), 3);
-  ASSERT_TRUE(session.ok());
-  ASSERT_TRUE(
-      session->ApplyCleanOutcome(outcomes[0].first, outcomes[0].second).ok());
-  ASSERT_TRUE(session->dirty());
-  EXPECT_DEATH(session->quality(), "UCLEAN_CHECK failed");
-  EXPECT_DEATH(session->tp(), "UCLEAN_CHECK failed");
-  EXPECT_DEATH(session->psr(), "UCLEAN_CHECK failed");
-  EXPECT_DEATH(session->tps(), "UCLEAN_CHECK failed");
 }
 
 #ifndef NDEBUG
@@ -651,7 +534,7 @@ TEST(SessionPoolDeathTest, ConcurrentUseTripsTheSerializedCallerGuard) {
         Result<ProbabilisticDatabase> base = GenerateSynthetic(opts);
         UCLEAN_CHECK(base.ok());
         Result<SessionPool> pool =
-            SessionPool::Create(std::move(base).value(), 8);
+            SessionPool::Create(std::move(base).value(), MakeLadder({8}));
         UCLEAN_CHECK(pool.ok());
         const auto hammer = [&pool](uint64_t seed) {
           Rng rng(seed);
@@ -664,42 +547,6 @@ TEST(SessionPoolDeathTest, ConcurrentUseTripsTheSerializedCallerGuard) {
             const Tuple& t = view.tuple(rank);
             (void)pool->ApplyCleanOutcome(id, t.xtuple, t.id);
             (void)pool->Refresh(id);
-          }
-        };
-        std::thread other([&hammer] { hammer(2); });
-        hammer(1);
-        other.join();
-      },
-      "serialized");
-}
-
-/// Same violated contract against a dedicated CleaningSession: its
-/// serialized-caller guard was promoted from documentation to a
-/// SerialGate capability alongside the pool's, so two threads driving
-/// one session must abort the same way.
-TEST(SessionPoolDeathTest, ConcurrentSessionUseTripsTheSerializedGuard) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        SyntheticOptions opts;
-        opts.num_xtuples = 500;
-        opts.real_mass_min = 0.4;
-        opts.real_mass_max = 0.9;
-        Result<ProbabilisticDatabase> base = GenerateSynthetic(opts);
-        UCLEAN_CHECK(base.ok());
-        Result<CleaningSession> session =
-            CleaningSession::Start(std::move(base).value(), 8);
-        UCLEAN_CHECK(session.ok());
-        const auto hammer = [&session](uint64_t seed) {
-          Rng rng(seed);
-          for (int iter = 0; iter < 4000; ++iter) {
-            const ProbabilisticDatabase& view = session->db();
-            const size_t rank = static_cast<size_t>(rng.UniformInt(
-                0, static_cast<int64_t>(view.num_tuples() - 1)));
-            if (view.is_tombstone(rank)) continue;
-            const Tuple& t = view.tuple(rank);
-            (void)session->ApplyCleanOutcome(t.xtuple, t.id);
-            (void)session->Refresh();
           }
         };
         std::thread other([&hammer] { hammer(2); });

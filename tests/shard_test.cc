@@ -1,23 +1,25 @@
 // Tests for the execution subsystem (exec/thread_pool.h) and the sharded
 // parallel PSR scan (rank/sharded_scan.h): ParallelFor/TaskGroup
 // semantics, ExecOptions validation, and the load-bearing equivalence
-// contract -- parallel scans, replays and pooled-session refreshes must
-// match the sequential path to 1e-12 (bit-for-bit in practice: shard
-// cuts sit on the count-refresh grid, so boundary states share the
-// sequential arithmetic lineage) for every thread/shard count, on both
-// saturating (unit-mass) and head-mass-stop (sub-unit-mass) workloads.
-// Also covers the shard cut-point primitive directly: a scan restarted
-// at EVERY checkpoint rank of a scanned database, including ranks past a
-// shallow rung's Lemma-2 stop, reproduces the full scan.
+// contract -- parallel scans must match the sequential path to 1e-12
+// (bit-for-bit in practice: shard cuts sit on the count-refresh grid, so
+// boundary states share the sequential arithmetic lineage) for every
+// thread/shard count, on both saturating (unit-mass) and head-mass-stop
+// (sub-unit-mass) workloads, and session replays and pooled refreshes
+// must match the sequential pool and a from-scratch overlay scan
+// bitwise. Also covers the shard cut-point primitive directly: a session
+// replay restored from EVERY checkpoint rank of a scanned database,
+// including ranks past a shallow rung's Lemma-2 stop, reproduces the
+// from-scratch scan of its overlay.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "clean/session.h"
 #include "clean/session_pool.h"
 #include "common/rng.h"
 #include "exec/thread_pool.h"
@@ -106,17 +108,6 @@ void ExpectPsrEqual(const PsrOutput& seq, const PsrOutput& par,
     ASSERT_LE(MaxAbsDiff(seq.rank_prob, par.rank_prob, &at), kTol)
         << label << " rank_prob at entry " << at;
   }
-}
-
-void ExpectTpEqual(const TpOutput& seq, const TpOutput& par,
-                   const std::string& label) {
-  EXPECT_NEAR(seq.quality, par.quality, kTol) << label;
-  EXPECT_EQ(seq.scan_end, par.scan_end) << label;
-  size_t at = 0;
-  ASSERT_LE(MaxAbsDiff(seq.xtuple_gain, par.xtuple_gain, &at), kTol)
-      << label << " xtuple_gain at " << at;
-  ASSERT_LE(MaxAbsDiff(seq.xtuple_topk_mass, par.xtuple_topk_mass, &at), kTol)
-      << label << " xtuple_topk_mass at " << at;
 }
 
 // ---------------------------------------------------------------- pool
@@ -250,21 +241,24 @@ TEST(ShardedScanTest, MatrixAndArgmaxesMatchWithStoredProbabilities) {
   }
 }
 
-/// Interleaves cleans and refreshes on a parallel-exec session and a
-/// sequential one fed identical outcomes; every refresh must land both
-/// sessions on the same maintained PSR + TP state at every rung.
+/// Interleaves cleans and refreshes on a session of an 8-thread pool and
+/// one of a sequential pool fed identical outcomes; every refresh must
+/// land both sessions on the same maintained PSR + TP state, bitwise, at
+/// every rung.
 TEST(ShardedScanTest, SessionReplaysMatchSequentialUnderCleans) {
   const ProbabilisticDatabase db = MakeSubunitDb();
   const KLadder ladder = MakeLadder({16, 384});
 
-  CleaningSession::Options par_options;
+  SessionPool::Options par_options;
   par_options.exec.num_threads = 8;
-  Result<CleaningSession> seq =
-      CleaningSession::Start(ProbabilisticDatabase(db), ladder);
-  Result<CleaningSession> par = CleaningSession::Start(
-      ProbabilisticDatabase(db), ladder, par_options);
+  Result<SessionPool> seq =
+      SessionPool::Create(ProbabilisticDatabase(db), ladder);
+  Result<SessionPool> par =
+      SessionPool::Create(ProbabilisticDatabase(db), ladder, par_options);
   ASSERT_TRUE(seq.ok()) << seq.status();
   ASSERT_TRUE(par.ok()) << par.status();
+  const SessionPool::SessionId seq_id = seq->OpenSession();
+  const SessionPool::SessionId par_id = par->OpenSession();
 
   Rng rng(20260728);
   for (int round = 0; round < 4; ++round) {
@@ -272,40 +266,43 @@ TEST(ShardedScanTest, SessionReplaysMatchSequentialUnderCleans) {
     // the replay suffix is non-trivial; resolve by the existential
     // distribution (sometimes to absent). The scan depth is read once up
     // front -- psr() on a dirty session is a hard failure by contract.
-    const size_t scan_end = seq->psr(ladder.size() - 1).scan_end;
+    const size_t scan_end = seq->psr(seq_id, ladder.size() - 1).scan_end;
     for (int c = 0; c < 2; ++c) {
       const size_t rank = static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(scan_end - 1)));
-      if (seq->db().is_tombstone(rank)) continue;
-      const Tuple& t = seq->db().tuple(rank);
+      const DatabaseOverlay& view = seq->overlay(seq_id);
+      if (view.is_tombstone(rank)) continue;
+      const Tuple& t = view.tuple(rank);
       const TupleId resolved = rng.Bernoulli(0.3) ? TupleId{-1} : t.id;
-      Status s1 = seq->ApplyCleanOutcome(t.xtuple, resolved);
-      Status s2 = par->ApplyCleanOutcome(t.xtuple, resolved);
+      Status s1 = seq->ApplyCleanOutcome(seq_id, t.xtuple, resolved);
+      Status s2 = par->ApplyCleanOutcome(par_id, t.xtuple, resolved);
       ASSERT_EQ(s1.ok(), s2.ok());
     }
-    ASSERT_TRUE(seq->Refresh().ok());
-    ASSERT_TRUE(par->Refresh().ok());
+    ASSERT_TRUE(seq->Refresh(seq_id).ok());
+    ASSERT_TRUE(par->Refresh(par_id).ok());
     for (size_t j = 0; j < ladder.size(); ++j) {
       const std::string label =
           "round " + std::to_string(round) + " k=" + std::to_string(ladder[j]);
-      ExpectPsrEqual(seq->psr(j), par->psr(j), label);
-      ExpectTpEqual(seq->tp(j), par->tp(j), label);
+      ExpectPsrBitwiseEq(par->psr(par_id, j), seq->psr(seq_id, j), label);
+      ExpectTpBitwiseEq(par->tp(par_id, j), seq->tp(seq_id, j), label);
     }
   }
 }
 
 // ------------------------------------- checkpoint cut-point coverage
 
-/// The shard primitive, exercised at every restore point the engine has:
-/// a scan restarted from the checkpoint at rank p (ScanFrom(p) via
-/// Replay with an unchanged database) must reproduce the full scan's
-/// output at every rung -- including checkpoints ranked past the
-/// shallow rung's Lemma-2 stop, where the restart must leave that
-/// rung's latched output untouched.
+/// The shard primitive, exercised at every restore point the engine has.
+/// For each shared checkpoint p, a session cleans an x-tuple whose best
+/// member ranks in [p, next checkpoint), so its replay restores exactly
+/// p and rescans the suffix (ScanFrom(p) via ReplaySession). The replayed
+/// state must equal a from-scratch scan of the same overlay bitwise at
+/// every rung -- including restore points past the shallow rung's
+/// Lemma-2 stop, where the replay must leave that rung's latched output
+/// untouched.
 TEST(ShardedScanTest, ScanFromEveryCheckpointRankMatchesFullScan) {
   const ProbabilisticDatabase db = MakeSubunitDb(800);
   const KLadder ladder = MakeLadder({4, 160});
-  // With the matrix on, a restart also re-derives the per-rank argmaxes
+  // With the matrix on, a replay also re-derives the per-rank argmaxes
   // (through the pool-fanned FinalizeAggregates), so the comparison
   // covers every aggregate; without it a replay resets them by contract.
   PsrOptions options;
@@ -324,22 +321,46 @@ TEST(ShardedScanTest, ScanFromEveryCheckpointRankMatchesFullScan) {
     const size_t shallow_end = engine->output(0).scan_end;
     ASSERT_LT(shallow_end, engine->output(1).scan_end);
     ASSERT_GT(positions.back(), shallow_end);
-    for (const size_t pos : positions) {
-      PsrEngine restarted = *engine;  // fresh copy per restart rank
-      ASSERT_TRUE(restarted.Replay(db, pos).ok()) << "restart at " << pos;
+    size_t restarts = 0;
+    size_t past_shallow = 0;
+    for (size_t c = 0; c < positions.size(); ++c) {
+      const size_t pos = positions[c];
+      const size_t next =
+          c + 1 < positions.size() ? positions[c + 1] : db.num_tuples();
+      std::pair<XTupleId, TupleId> outcome;
+      if (!FindCleanFirstChangingIn(db, pos, next, &outcome)) continue;
+      DatabaseOverlay overlay(&db);
+      Result<ProbabilisticDatabase::CleanOutcomeDelta> delta =
+          overlay.ApplyCleanOutcome(outcome.first, outcome.second);
+      ASSERT_TRUE(delta.ok()) << delta.status();
+      ASSERT_GE(delta->first_changed_rank, pos);
+      ASSERT_LT(delta->first_changed_rank, next);
+      PsrEngine::SessionState state = engine->ForkSession();
+      ASSERT_TRUE(
+          engine->ReplaySession(overlay, delta->first_changed_rank, &state)
+              .ok())
+          << "restart at " << pos;
+      Result<std::vector<PsrOutput>> scratch =
+          ScanOverlayLadder(overlay, ladder, options);
+      ASSERT_TRUE(scratch.ok()) << scratch.status();
       for (size_t j = 0; j < ladder.size(); ++j) {
-        ExpectPsrEqual(engine->output(j), restarted.output(j),
-                       "threads=" + std::to_string(threads) + " restart at " +
-                           std::to_string(pos) + " k=" +
-                           std::to_string(ladder[j]));
+        ExpectPsrBitwiseEq(state.output(j), (*scratch)[j],
+                           "threads=" + std::to_string(threads) +
+                               " restart at " + std::to_string(pos) +
+                               " k=" + std::to_string(ladder[j]));
       }
+      ++restarts;
+      if (pos > shallow_end) ++past_shallow;
     }
+    // Nearly every checkpoint interval holds some x-tuple's best member.
+    EXPECT_GE(restarts + 2, positions.size()) << "threads=" << threads;
+    EXPECT_GT(past_shallow, 0u) << "threads=" << threads;
   }
 }
 
 // --------------------------------------------- pooled refresh fan-out
 
-TEST(SessionPoolParallelTest, RefreshAllMatchesIndividualAndDedicated) {
+TEST(SessionPoolParallelTest, RefreshAllMatchesIndividualAndOverlayScan) {
   const ProbabilisticDatabase db = MakeSubunitDb(1200);
   const KLadder ladder = MakeLadder({8, 192});
   constexpr size_t kSessions = 4;
@@ -354,14 +375,9 @@ TEST(SessionPoolParallelTest, RefreshAllMatchesIndividualAndDedicated) {
   ASSERT_TRUE(seq.ok()) << seq.status();
 
   std::vector<SessionPool::SessionId> par_ids, seq_ids;
-  std::vector<CleaningSession> dedicated;
   for (size_t s = 0; s < kSessions; ++s) {
     par_ids.push_back(par->OpenSession());
     seq_ids.push_back(seq->OpenSession());
-    Result<CleaningSession> session =
-        CleaningSession::Start(ProbabilisticDatabase(db), ladder);
-    ASSERT_TRUE(session.ok()) << session.status();
-    dedicated.push_back(std::move(session).value());
   }
 
   Rng rng(777);
@@ -371,41 +387,37 @@ TEST(SessionPoolParallelTest, RefreshAllMatchesIndividualAndDedicated) {
     // case.
     for (size_t s = 0; s < kSessions; ++s) {
       if (round == 1 && s == kSessions - 1) continue;
-      const size_t scan_end = dedicated[s].psr(ladder.size() - 1).scan_end;
+      const size_t scan_end =
+          seq->psr(seq_ids[s], ladder.size() - 1).scan_end;
       const size_t rank = static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(scan_end - 1)));
       const DatabaseOverlay& view = par->overlay(par_ids[s]);
       if (view.is_tombstone(rank)) continue;
       const Tuple& t = view.tuple(rank);
-      // All three arms must agree on whether the outcome is applicable
-      // (an x-tuple may already be certain from an earlier round).
+      // Both pools must agree on whether the outcome is applicable (an
+      // x-tuple may already be certain from an earlier round).
       const bool par_ok =
           par->ApplyCleanOutcome(par_ids[s], t.xtuple, t.id).ok();
       const bool seq_ok =
           seq->ApplyCleanOutcome(seq_ids[s], t.xtuple, t.id).ok();
-      const bool ded_ok = dedicated[s].ApplyCleanOutcome(t.xtuple, t.id).ok();
-      ASSERT_EQ(par_ok, ded_ok);
-      ASSERT_EQ(seq_ok, ded_ok);
+      ASSERT_EQ(par_ok, seq_ok);
     }
-    // One concurrent fan-out vs per-session refreshes vs dedicated
-    // sessions: all three must land on identical state.
+    // One concurrent fan-out vs per-session refreshes vs each session's
+    // from-scratch overlay scan: all three must land on identical state.
     ASSERT_TRUE(par->RefreshAll().ok());
     for (size_t s = 0; s < kSessions; ++s) {
       ASSERT_TRUE(seq->Refresh(seq_ids[s]).ok());
-      ASSERT_TRUE(dedicated[s].Refresh().ok());
     }
     for (size_t s = 0; s < kSessions; ++s) {
+      const std::string label = "round " + std::to_string(round) +
+                                " session " + std::to_string(s);
       for (size_t j = 0; j < ladder.size(); ++j) {
-        const std::string label = "round " + std::to_string(round) +
-                                  " session " + std::to_string(s) + " k=" +
-                                  std::to_string(ladder[j]);
-        ExpectPsrEqual(seq->psr(seq_ids[s], j), par->psr(par_ids[s], j),
-                       label);
-        ExpectTpEqual(dedicated[s].tp(j), par->tp(par_ids[s], j), label);
-        EXPECT_NEAR(dedicated[s].quality(j), par->quality(par_ids[s], j),
-                    kTol)
-            << label;
+        const std::string at = label + " k=" + std::to_string(ladder[j]);
+        ExpectPsrBitwiseEq(par->psr(par_ids[s], j), seq->psr(seq_ids[s], j),
+                           at);
+        ExpectTpBitwiseEq(par->tp(par_ids[s], j), seq->tp(seq_ids[s], j), at);
       }
+      ExpectMatchesOverlayScan(*par, par_ids[s], {}, label);
     }
   }
   // RefreshAll on an all-clean pool is a no-op.
