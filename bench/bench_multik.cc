@@ -52,7 +52,6 @@ namespace {
 constexpr size_t kRounds = 20;
 constexpr size_t kCleansPerRound = 3;
 constexpr uint64_t kOutcomeSeed = 20260728;
-constexpr double kQualityTol = 1e-9;
 
 /// One round's pre-drawn clean outcomes (same stream for every arm).
 using Round = std::vector<std::pair<XTupleId, TupleId>>;
@@ -234,6 +233,7 @@ struct Series {
   double speedup_vs_sessions = 0.0;
   double k_independence = 0.0;  // shared create / single-kmax create
   double max_quality_diff = 0.0;
+  bool qualities_bitwise_equal = true;
   size_t rounds_run = 0;
 };
 
@@ -309,6 +309,9 @@ Result<Series> RunSeries(const std::string& workload,
         const double diff = shared_q - other;
         series.max_quality_diff =
             std::max(series.max_quality_diff, diff < 0.0 ? -diff : diff);
+        if (!bench::SameBits(shared_q, other)) {
+          series.qualities_bitwise_equal = false;
+        }
       }
     }
   }
@@ -371,7 +374,7 @@ int main() {
                     series.status().ToString().c_str());
         return 1;
       }
-      if (series->max_quality_diff > kQualityTol) {
+      if (!series->qualities_bitwise_equal) {
         std::printf("MISMATCH %s/%s: per-rung qualities diverge by %.3e\n",
                     series->workload.c_str(), series->ladder_name.c_str(),
                     series->max_quality_diff);

@@ -49,7 +49,6 @@ namespace {
 
 constexpr size_t kCleansPerRound = 2;
 constexpr uint64_t kOutcomeSeed = 20260728;
-constexpr double kQualityTol = 1e-12;
 
 /// A session-lifetime pattern: `waves` successive generations of
 /// `sessions` concurrent sessions, each living for `rounds` cleaning
@@ -241,6 +240,7 @@ struct Series {
   double speedup = 0.0;            // dedicated total / pool total
   double open_amortization = 0.0;  // dedicated create / pool create
   double max_quality_diff = 0.0;
+  bool qualities_bitwise_equal = true;
 };
 
 std::string JsonKs(const KLadder& ladder) {
@@ -307,10 +307,14 @@ Result<Series> RunSeries(const std::string& workload,
   for (size_t s = 0; s < series.dedicated.quality.size(); ++s) {
     for (size_t r = 0; r < series.dedicated.quality[s].size(); ++r) {
       for (size_t rung = 0; rung < ladder.size(); ++rung) {
-        const double diff = series.pooled.quality[s][r][rung] -
-                            series.dedicated.quality[s][r][rung];
+        const double pooled = series.pooled.quality[s][r][rung];
+        const double dedicated = series.dedicated.quality[s][r][rung];
+        const double diff = pooled - dedicated;
         series.max_quality_diff =
             std::max(series.max_quality_diff, diff < 0.0 ? -diff : diff);
+        if (!bench::SameBits(pooled, dedicated)) {
+          series.qualities_bitwise_equal = false;
+        }
       }
     }
   }
@@ -379,7 +383,7 @@ int main() {
       std::printf("series failed: %s\n", series.status().ToString().c_str());
       return 1;
     }
-    if (series->max_quality_diff > kQualityTol) {
+    if (!series->qualities_bitwise_equal) {
       std::printf(
           "MISMATCH %s/%s/N=%zu: per-session qualities diverge by %.3e\n",
           series->workload.c_str(), series->regime.c_str(),

@@ -7,7 +7,9 @@
 #define UCLEAN_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <utility>
@@ -32,6 +34,17 @@ inline const char* ResolvedKernelName() {
   return kernel.ok() ? (*kernel)->name : "scalar";
 }
 
+/// True when `a` and `b` are the same double bit for bit -- the arms of
+/// an equivalence check run the same arithmetic, so any difference, even
+/// -0.0 against +0.0, is a bug (tools/check_bench.py gates on 0.0).
+inline bool SameBits(double a, double b) {
+  uint64_t x = 0;
+  uint64_t y = 0;
+  std::memcpy(&x, &a, sizeof(x));
+  std::memcpy(&y, &b, sizeof(y));
+  return x == y;
+}
+
 /// A dedicated cleaning session: a pool of its own holding one session,
 /// paying the full scan, checkpoint set and TP pass at Create.
 struct OneSessionPool {
@@ -39,11 +52,11 @@ struct OneSessionPool {
   SessionPool::SessionId id = 0;
 };
 
-/// Copies `db` into a fresh one-session pool serving `ladder`.
-inline Result<OneSessionPool> OpenOneSessionPool(
-    const ProbabilisticDatabase& db, const KLadder& ladder) {
-  Result<SessionPool> pool =
-      SessionPool::Create(ProbabilisticDatabase(db), ladder);
+/// Moves `db` (pass a copy to keep the original) into a fresh
+/// one-session pool serving `ladder`.
+inline Result<OneSessionPool> OpenOneSessionPool(ProbabilisticDatabase db,
+                                                 const KLadder& ladder) {
+  Result<SessionPool> pool = SessionPool::Create(std::move(db), ladder);
   if (!pool.ok()) return pool.status();
   OneSessionPool out{std::move(pool).value()};
   out.id = out.pool.OpenSession();

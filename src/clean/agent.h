@@ -78,19 +78,21 @@
 
 namespace uclean {
 
-/// What happened to one selected x-tuple during plan execution.
+/// What happened to one selected x-tuple during plan execution. The five
+/// 64-bit fields lead so the record packs into 56 bytes: campaigns keep
+/// every record of their probe logs.
 struct ProbeRecord {
-  XTupleId xtuple = 0;
   int64_t attempts = 0;      ///< probes that got an answer (<= planned)
   int64_t spent = 0;         ///< completed probes * cost
-  bool success = false;
   TupleId resolved_id = -1;  ///< the revealed tuple (negative: null outcome)
   int64_t failures = 0;      ///< probes with no answer after all retries
   int64_t retries = 0;       ///< extra attempts after faulted ones
+  XTupleId xtuple = 0;
   /// kOk: every planned probe ran (or stopped early on success).
   /// kUnavailable: retries exhausted / source down / breaker open.
   /// kDeadlineExceeded: the probe or plan deadline cut this x-tuple off.
   StatusCode last_error = StatusCode::kOk;
+  bool success = false;
 
   friend bool operator==(const ProbeRecord& a, const ProbeRecord& b) {
     return a.xtuple == b.xtuple && a.attempts == b.attempts &&
@@ -99,6 +101,7 @@ struct ProbeRecord {
            a.retries == b.retries && a.last_error == b.last_error;
   }
 };
+static_assert(sizeof(ProbeRecord) <= 56, "ProbeRecord lost its packing");
 
 /// Outcome of executing a plan.
 struct ExecutionReport {

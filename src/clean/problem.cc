@@ -58,6 +58,9 @@ Status CleaningProblem::Validate() const {
 double CleaningProblem::MarginalValue(size_t l, int64_t j) const {
   if (j <= 0) return 0.0;
   const double p = sc_prob[l];
+  // pow(x, 0) is exactly 1.0 for every x, so the first probe -- the one
+  // PlanGreedy prices for every x-tuple -- skips the call: same bits.
+  if (j == 1) return -p * gain[l];
   return -std::pow(1.0 - p, static_cast<double>(j - 1)) * p * gain[l];
 }
 

@@ -111,7 +111,8 @@ Status SessionPool::RefreshSession(Session* session) {
   UCLEAN_RETURN_IF_ERROR(
       engine_.ReplaySession(session->overlay, replay_begin, &session->scan));
   UCLEAN_RETURN_IF_ERROR(UpdateTpQualityLadder(
-      session->overlay, session->scan.outputs(), replay_begin, &session->tps,
+      session->overlay, session->scan.outputs(), replay_begin,
+      engine_.outputs().back(), base_tps_.back(), &session->tps,
       options_.exec));
   session->pending_replay_begin = kNoPending;
   return Status::OK();

@@ -65,7 +65,7 @@ class DatabaseOverlay {
   /// The tuple at `rank_index`: the session's resolved (certain) copy when
   /// one of its cleans patched this slot, the base tuple otherwise.
   const Tuple& tuple(size_t rank_index) const {
-    if (!patched_.empty() && patched_[rank_index] != 0) {
+    if (is_patched(rank_index)) {
       return patches_.find(rank_index)->second;
     }
     return base_->tuple(rank_index);
@@ -76,6 +76,13 @@ class DatabaseOverlay {
   bool is_tombstone(size_t rank_index) const {
     if (!tombstones_.empty() && tombstones_[rank_index] != 0) return true;
     return base_->is_tombstone(rank_index);
+  }
+
+  /// True when one of this session's cleans patched the slot (the
+  /// resolved alternative of a collapsed x-tuple). A live slot that is not
+  /// patched belongs to an x-tuple the session never cleaned.
+  bool is_patched(size_t rank_index) const {
+    return !patched_.empty() && patched_[rank_index] != 0;
   }
 
   /// Overlay-only tombstones (the base is pristine under a SessionPool).

@@ -129,13 +129,20 @@ Result<std::vector<TpOutput>> ComputeTpQualityLadder(
 
 Status UpdateTpQualityLadder(const DatabaseOverlay& db,
                              const std::vector<PsrOutput>& psrs,
-                             size_t replay_begin, std::vector<TpOutput>* tps,
+                             size_t replay_begin, const PsrOutput& base_psr,
+                             const TpOutput& base_tp,
+                             std::vector<TpOutput>* tps,
                              const ExecOptions& exec) {
   if (psrs.size() != tps->size() || psrs.empty()) {
     return Status::InvalidArgument(
         "PSR and TP ladders must be non-empty and the same length");
   }
   const size_t n = db.num_tuples();
+  if (base_psr.topk_prob.size() != n || base_tp.omega.size() != n) {
+    return Status::InvalidArgument(
+        "base TP/PSR state does not match the database (tuple count "
+        "mismatch)");
+  }
   size_t max_end = replay_begin;
   for (size_t j = 0; j < psrs.size(); ++j) {
     if (psrs[j].topk_prob.size() != n || (*tps)[j].omega.size() != n) {
@@ -154,6 +161,14 @@ Status UpdateTpQualityLadder(const DatabaseOverlay& db,
   // boundary: those are untouched by any clean with first_changed_rank >=
   // replay_begin, and xtuple_members() lists them best rank first, so the
   // seed accumulates the exact additions the full pass performed.
+  //
+  // A live slot the overlay did not patch belongs to an x-tuple the
+  // session never cleaned: its members, hence its E additions and its
+  // omega, are the base's. Wherever the base's deepest rung stored that
+  // omega (below its scan end, paired with a positive top-k
+  // probability), it is taken as is -- the same bits, minus three log2s.
+  // E_run still advances over such slots for later members' sake.
+  const size_t base_end = std::min(base_psr.scan_end, max_end);
   std::vector<double> shared_omega(max_end, 0.0);
   std::vector<double> e_run(db.num_xtuples(), 0.0);
   std::vector<uint8_t> seeded(db.num_xtuples(), 0);
@@ -171,7 +186,10 @@ Status UpdateTpQualityLadder(const DatabaseOverlay& db,
     }
     const double e_at_or_above = e_run[t.xtuple] + t.prob;
     e_run[t.xtuple] = e_at_or_above;
-    shared_omega[i] = Omega(t.prob, e_at_or_above);
+    shared_omega[i] = i < base_end && base_psr.topk_prob[i] > 0.0 &&
+                              !db.is_patched(i)
+                          ? base_tp.omega[i]
+                          : Omega(t.prob, e_at_or_above);
   }
 
   ExecParallelFor(exec, psrs.size(), [&](size_t j) {

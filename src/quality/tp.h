@@ -105,11 +105,17 @@ Result<std::vector<TpOutput>> ComputeTpQualityLadder(
 /// rung is bitwise identical to ComputeTpQuality(db, psr) at a fraction
 /// of the cost. Rungs whose scan never reaches the replay boundary are
 /// untouched (a clean below a rung's stop point cannot change it).
-/// `exec` fans the per-rung wipe/mask/accumulate suffix work over a
-/// shared pool, bitwise equal to the inline default.
+/// `base_psr` / `base_tp` are the deepest rung of the overlay's base
+/// (PSR and TP over the base database itself): a slot of an x-tuple the
+/// session never cleaned reuses the base's stored omega instead of
+/// recomputing the same bits. `exec` fans the per-rung
+/// wipe/mask/accumulate suffix work over a shared pool, bitwise equal to
+/// the inline default.
 Status UpdateTpQualityLadder(const DatabaseOverlay& db,
                              const std::vector<PsrOutput>& psrs,
-                             size_t replay_begin, std::vector<TpOutput>* tps,
+                             size_t replay_begin, const PsrOutput& base_psr,
+                             const TpOutput& base_tp,
+                             std::vector<TpOutput>* tps,
                              const ExecOptions& exec = {});
 
 }  // namespace uclean

@@ -61,25 +61,22 @@ void PsrEngine::SnapshotInto(const psr_internal::ScanCore& core, size_t pos,
   cp.c.assign(core.c.begin(), core.c.end());
   cp.active = core.active;
   cp.saturated = core.saturated;
-  for (size_t l = 0; l < core.state.size(); ++l) {
-    if (core.state[l] == psr_internal::XTupleState::kInactive) continue;
-    cp.xs.push_back({static_cast<XTupleId>(l), core.state[l], core.q[l]});
-  }
   cps->push_back(std::move(cp));
 }
 
-void PsrEngine::RestoreInto(const Checkpoint& cp,
+void PsrEngine::RestoreInto(const DatabaseOverlay& db, const Checkpoint& cp,
                             psr_internal::ScanCore* core) {
-  core->c.assign(cp.c.begin(), cp.c.end());
-  core->active = cp.active;
-  core->saturated = cp.saturated;
   std::fill(core->q.begin(), core->q.end(), 0.0);
   std::fill(core->state.begin(), core->state.end(),
             psr_internal::XTupleState::kInactive);
-  for (const Checkpoint::XEntry& x : cp.xs) {
-    core->q[x.xtuple] = x.q;
-    core->state[x.xtuple] = x.state;
-  }
+  core->active = 0;
+  core->saturated = 0;
+  const size_t live = psr_internal::ForwardMasses(db, 0, cp.pos, core);
+  // The snapshot reader checks every stored checkpoint against the same
+  // pass, so a disagreement here is a replay-boundary bug, not bad input.
+  UCLEAN_CHECK(live == cp.live && core->active == cp.active &&
+               core->saturated == cp.saturated);
+  core->c.assign(cp.c.begin(), cp.c.end());
 }
 
 template <typename Db>
@@ -317,7 +314,7 @@ Status PsrEngine::ReplaySession(const DatabaseOverlay& db,
   UCLEAN_CHECK(restore != nullptr);
 
   const size_t replay_begin = restore->pos;
-  RestoreInto(*restore, &state->core_);
+  RestoreInto(db, *restore, &state->core_);
   ScanFrom(db, replay_begin, restore->live, options_, exec_, &state->core_,
            &state->outputs_, &state->checkpoints_,
            &state->checkpoint_interval_);

@@ -3,16 +3,17 @@
 //
 // A successful pclean collapses one x-tuple to a certain tuple and leaves
 // every other tuple's rank unchanged (DatabaseOverlay::ApplyCleanOutcome).
-// The engine scans the base database once and keeps the Poisson-binomial
-// scan state of psr_scan_core.h checkpointed at intervals along the rank
-// order. A cleaning session's refresh restores the last checkpoint at or
-// before its first changed rank and replays only the suffix of the scan,
-// so a round of cleans costs O(m + suffix * (k_max + T)) instead of a
-// full database rebuild plus an O(k n) rescan per served k. Replayed
-// results are bitwise identical to a from-scratch ComputePsrLadder over
-// the same overlay: the restored state is the exact state a fresh scan
-// reaches at the checkpoint (the prefix is untouched by the clean), and
-// the suffix executes the same arithmetic.
+// The engine scans the base database once and checkpoints the
+// Poisson-binomial count vector of psr_scan_core.h at intervals along the
+// rank order. A cleaning session's refresh restores the last checkpoint
+// at or before its first changed rank -- re-deriving the per-x-tuple
+// masses with one pass over the prefix -- and replays only the suffix of
+// the scan, so a round of cleans costs O(m + prefix + suffix * (k_max +
+// T)) instead of a full database rebuild plus an O(k n) rescan per
+// served k. Replayed results are bitwise identical to a from-scratch
+// ComputePsrLadder over the same overlay: the restored state is the
+// exact state a fresh scan reaches at the checkpoint (the prefix is
+// untouched by the clean), and the suffix executes the same arithmetic.
 //
 // Multi-k: the scan state (count vector, per-x-tuple masses) is
 // k-independent, so ONE checkpoint set serves every rung; only the
@@ -79,10 +80,17 @@ namespace uclean {
 
 class PsrEngine {
  private:
-  /// Scan state snapshot taken just before processing rank `pos`. The
-  /// snapshot is k-independent, so one checkpoint set serves every rung;
-  /// it is also session-independent above the snapshotting session's own
-  /// changes, which is what lets pooled sessions share the base set.
+  /// Scan state snapshot taken just before processing rank `pos`: the
+  /// count vector and its counters only, so taking one copies O(T)
+  /// doubles and never walks the x-tuples. The per-x-tuple masses are a
+  /// pure function of the tuples ranked above `pos` (the scan only adds
+  /// tuple probabilities in rank order); RestoreInto re-derives them over
+  /// the restoring view's prefix, which is the snapshotted one because
+  /// every checkpoint a replay may restore sits at or above all of that
+  /// view's changes. The snapshot is k-independent, so one checkpoint set
+  /// serves every rung; it is also session-independent above the
+  /// snapshotting session's own changes, which is what lets pooled
+  /// sessions share the base set.
   struct Checkpoint {
     size_t pos = 0;
     /// Live-tuple ordinal of `pos` (count of live tuples above it):
@@ -92,12 +100,6 @@ class PsrEngine {
     std::vector<double> c;
     size_t active = 0;
     size_t saturated = 0;
-    struct XEntry {
-      XTupleId xtuple;
-      psr_internal::XTupleState state;
-      double q;
-    };
-    std::vector<XEntry> xs;  // every non-inactive x-tuple
   };
 
  public:
@@ -212,7 +214,12 @@ class PsrEngine {
   /// and the sharded-scan checkpoint merge.
   static void ThinCheckpoints(std::vector<Checkpoint>* cps, size_t* interval);
 
-  static void RestoreInto(const Checkpoint& cp, psr_internal::ScanCore* core);
+  /// Loads `cp` into `core`: the count vector from the checkpoint, the
+  /// per-x-tuple masses re-derived over `db`'s prefix [0, cp.pos), which
+  /// must equal the prefix the checkpoint was taken over. The derived
+  /// live/active/saturated counts are checked against the stored ones.
+  static void RestoreInto(const DatabaseOverlay& db, const Checkpoint& cp,
+                          psr_internal::ScanCore* core);
 
   /// Zeroes `outputs` from `begin` on and runs the scan loop over `db` to
   /// its stop point, snapshotting into `cps` along the way -- sharded

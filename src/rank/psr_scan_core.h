@@ -221,10 +221,17 @@ struct ScanCore {
   bool ShouldStop(size_t k) const {
     if (saturated >= k) return true;  // Lemma 2 proper
     // Head mass: Pr[fewer than k x-tuples contribute above the position].
+    // Every c[j] is >= 0 (the divide-out kernels clamp at zero and the
+    // fold only multiplies and adds nonnegative factors), so the running
+    // sum never decreases: once it reaches the bound the full sum would
+    // too, and returning early is the full loop's decision, bit for bit.
     double head = 0.0;
     const size_t head_top = std::min(k - saturated, c.size());
-    for (size_t j = 0; j < head_top; ++j) head += c[j];
-    return head < kNegligibleHeadMass;
+    for (size_t j = 0; j < head_top; ++j) {
+      head += c[j];
+      if (head >= kNegligibleHeadMass) return false;
+    }
+    return true;
   }
 
   /// Builds the exclusion view for tuple `t` (others = all x-tuples except

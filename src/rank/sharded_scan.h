@@ -80,10 +80,13 @@ struct GridPoint {
 /// positions [from, to): the exact additions, saturation folds and
 /// activation flips the scan performs, minus all count-vector work.
 /// core->c goes stale; the grid refresh (RebuildCounts) reconstitutes it.
+/// Returns the number of live positions crossed.
 template <typename Db>
-void ForwardMasses(const Db& db, size_t from, size_t to, ScanCore* core) {
+size_t ForwardMasses(const Db& db, size_t from, size_t to, ScanCore* core) {
+  size_t live = 0;
   for (size_t i = from; i < to; ++i) {
     if (db.is_tombstone(i)) continue;
+    ++live;
     const Tuple& t = db.tuple(i);
     const int32_t l = t.xtuple;
     if (core->state[l] == XTupleState::kSaturated) continue;
@@ -98,6 +101,7 @@ void ForwardMasses(const Db& db, size_t from, size_t to, ScanCore* core) {
       ++core->active;
     }
   }
+  return live;
 }
 
 /// One cheap pass from (begin, live_at_begin) that collects the grid

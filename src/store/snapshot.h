@@ -30,7 +30,7 @@
 //              | table_crc (over all entry bytes)  u32        |
 //              +----------------------------------------------+
 //
-// SECTION PAYLOADS (section version 3; f64[] is a varint count followed
+// SECTION PAYLOADS (section version 4; f64[] is a varint count followed
 // by the doubles, so a live prefix carries its own length):
 //   database   varint n, then n tuples { zigzag id, varint x-tuple,
 //              f64 score, f64 prob, bool is_null, string label };
@@ -44,6 +44,8 @@
 //              f64[scan_end * k] rank_prob row prefix.
 //   TP output  f64 quality, varint scan_end, f64[scan_end] omega prefix,
 //              f64[] xtuple_gain, f64[] xtuple_topk_mass.
+//   checkpoint varint pos, varint live, f64[] count vector, varint
+//              active, varint saturated. No per-x-tuple masses.
 // The engine section holds one PSR output per rung (plus options,
 // ladder and checkpoints); the sessions section holds the base TP
 // ladder, then per slot the overlay outcomes and, for cleaned sessions,
@@ -59,11 +61,12 @@
 //    included (DataLoss naming the section): there is one decode path,
 //    never a migration. Section version 2 replaced version 1's
 //    full-length vectors and stored member lists with the live-byte
-//    layout below. Section version 3 (this reader) keeps that layout
-//    but marks the division-free divide-out arithmetic (rank/kernel.h):
-//    a version-2 file holds count vectors from the division form, and
-//    replaying from them could not match a cold create bitwise. Files
-//    of version 1 and 2 are refused.
+//    layout below. Section version 3 kept that layout but marked the
+//    division-free divide-out arithmetic (rank/kernel.h): a version-2
+//    file holds count vectors from the division form, and replaying
+//    from them could not match a cold create bitwise. Section version 4
+//    (this reader) drops the per-x-tuple {x-tuple, state, mass} entries
+//    from every checkpoint. Files of version 1, 2 and 3 are refused.
 //  * UNKNOWN SECTION IDS ARE SKIPPED (their CRC is still verified): a
 //    newer writer may append sections an older reader ignores.
 //  * UNKNOWN FEATURE FLAGS ARE FATAL (DataLoss): a flag marks a semantic
@@ -99,6 +102,14 @@
 //    tuple table and the tombstone bitmap (the writer fails with
 //    Internal if a list is anything else). Per-x-tuple real masses are
 //    stored; their count is the x-tuple count.
+//  * Checkpoint masses. A checkpoint's per-x-tuple scan masses are a
+//    pure function of the tuples ranked above it, so neither memory nor
+//    the file holds them: a replay re-derives them from the view's
+//    prefix (PsrEngine's restore). The reader runs that derivation once
+//    per checkpoint list -- over the base for the engine's, over the
+//    session's rebuilt overlay for a session's -- and refuses (DataLoss
+//    naming the section) a checkpoint whose live ordinal, active count
+//    or saturated count disagrees with it.
 //
 // WHAT IS NOT CAPTURED: runtime execution knobs -- thread count, shared
 // pool, kernel choice are the LOADER's (SessionPool::Options::exec),
@@ -155,8 +166,9 @@ inline constexpr uint32_t kSectionCampaign = 5;
 
 /// The one section version this reader implements and writers write
 /// (2: live prefixes, derived member lists; 3: same layout, state from
-/// the division-free divide-out); any other is DataLoss.
-inline constexpr uint32_t kSectionVersion = 3;
+/// the division-free divide-out; 4: checkpoints without per-x-tuple
+/// entries); any other is DataLoss.
+inline constexpr uint32_t kSectionVersion = 4;
 
 /// "meta" / "database" / ... / "unknown" for display (inspect CLI).
 const char* SectionName(uint32_t id);

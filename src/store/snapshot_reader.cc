@@ -26,6 +26,8 @@
 #include "rank/kernel.h"
 #include "rank/psr.h"
 #include "rank/psr_engine.h"
+#include "rank/psr_scan_core.h"
+#include "rank/sharded_scan.h"
 #include "store/binstream.h"
 #include "store/crc32.h"
 #include "store/snapshot.h"
@@ -149,6 +151,35 @@ Status CheckSectionVersion(const SectionEntry& entry) {
                           " is not the version " +
                           std::to_string(kSectionVersion) +
                           " this reader implements");
+}
+
+/// Checks a decoded checkpoint list (ascending positions) against the
+/// view it will be restored over: one ForwardMasses pass across `db`
+/// derives the live ordinal and active/saturated counts at every
+/// checkpoint -- exactly what PsrEngine's restore re-derives -- and any
+/// disagreement is DataLoss naming `section`. Without it a CRC-valid file
+/// whose counters contradict its database would abort the first refresh
+/// or silently shift the count-refresh grid. `Checkpoints` is the
+/// engine's private checkpoint vector type.
+template <typename Db, typename Checkpoints>
+Status CheckCheckpointMasses(const Db& db, const Checkpoints& cps,
+                             const std::string& section) {
+  psr_internal::ScanCore core;
+  core.Init(db.num_xtuples());
+  size_t pos = 0;
+  size_t live = 0;
+  for (const auto& cp : cps) {
+    live += psr_internal::ForwardMasses(db, pos, cp.pos, &core);
+    pos = cp.pos;
+    if (cp.live != live || cp.active != core.active ||
+        cp.saturated != core.saturated) {
+      return Status::DataLoss(section + " checkpoint at rank " +
+                              std::to_string(cp.pos) +
+                              " disagrees with its database (live, active "
+                              "or saturated count)");
+    }
+  }
+  return Status::OK();
 }
 
 /// Reads a live prefix written by the writer's PutLivePrefix: exactly
@@ -463,32 +494,6 @@ Status SnapshotAccess::DecodeCheckpoint(store::BinReader* r,
   }
   cp->active = static_cast<size_t>(active);
   cp->saturated = static_cast<size_t>(saturated);
-  uint64_t xs_count = 0;
-  UCLEAN_RETURN_IF_ERROR(r->GetVarint(&xs_count));
-  if (xs_count > num_xtuples) {
-    return Status::DataLoss("checkpoint tracks more x-tuples than exist");
-  }
-  cp->xs.resize(xs_count);
-  for (uint64_t i = 0; i < xs_count; ++i) {
-    PsrEngine::Checkpoint::XEntry& x = cp->xs[i];
-    int64_t xtuple = 0;
-    UCLEAN_RETURN_IF_ERROR(r->GetZigzag(&xtuple));
-    if (xtuple < 0 || static_cast<uint64_t>(xtuple) >= num_xtuples) {
-      return Status::DataLoss("checkpoint x-tuple id out of range");
-    }
-    x.xtuple = static_cast<XTupleId>(xtuple);
-    uint8_t state = 0;
-    UCLEAN_RETURN_IF_ERROR(r->GetU8(&state));
-    // Only non-inactive x-tuples are checkpointed; 0 (inactive) in the
-    // stream means the writer and this reader disagree about the format.
-    if (state != static_cast<uint8_t>(psr_internal::XTupleState::kActive) &&
-        state !=
-            static_cast<uint8_t>(psr_internal::XTupleState::kSaturated)) {
-      return Status::DataLoss("checkpoint x-tuple state out of range");
-    }
-    x.state = static_cast<psr_internal::XTupleState>(state);
-    UCLEAN_RETURN_IF_ERROR(r->GetF64(&x.q));
-  }
   return Status::OK();
 }
 
@@ -548,6 +553,8 @@ Status SnapshotAccess::DecodeEngine(store::BinReader* r,
     }
     prev_pos = engine->checkpoints_[i].pos;
   }
+  UCLEAN_RETURN_IF_ERROR(
+      store::CheckCheckpointMasses(db, engine->checkpoints_, "engine"));
   uint64_t interval = 0;
   UCLEAN_RETURN_IF_ERROR(r->GetVarint(&interval));
   if (interval == 0) {
@@ -653,6 +660,9 @@ Status SnapshotAccess::DecodeSessions(store::BinReader* r,
         }
         prev_pos = scan.checkpoints_[i].pos;
       }
+      UCLEAN_RETURN_IF_ERROR(store::CheckCheckpointMasses(
+          session.overlay, scan.checkpoints_,
+          "session " + std::to_string(id)));
       uint64_t interval = 0;
       UCLEAN_RETURN_IF_ERROR(r->GetVarint(&interval));
       if (interval == 0) {

@@ -289,12 +289,6 @@ void SnapshotAccess::EncodeCheckpoint(const PsrEngine::Checkpoint& cp,
   w->PutF64Array(cp.c.data(), cp.c.size());
   w->PutVarint(cp.active);
   w->PutVarint(cp.saturated);
-  w->PutVarint(cp.xs.size());
-  for (const PsrEngine::Checkpoint::XEntry& x : cp.xs) {
-    w->PutZigzag(x.xtuple);
-    w->PutU8(static_cast<uint8_t>(x.state));
-    w->PutF64(x.q);
-  }
 }
 
 Status SnapshotAccess::EncodeEngine(const PsrEngine& engine,

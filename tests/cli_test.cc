@@ -682,14 +682,23 @@ TEST_F(CliTest, NegativeBudgetIsRejectedByEveryCleaningPath) {
   const std::string inputs = " --db " + Path("budget_db.csv") +
                              " --profile " + Path("budget_profile.csv") +
                              " --k 5 --budget -5";
+  // The pooled paths refuse it before building or opening their pool:
+  // with a database or snapshot that does not exist, the budget error
+  // still comes first.
+  const std::string missing = " --profile " + Path("budget_profile.csv") +
+                              " --k 5 --budget -5 --adaptive";
   // The planner, the one-shot clean, the one-session adaptive loop and
-  // the pooled adaptive loop all refuse the budget with the same error.
+  // the pooled adaptive loops all refuse the budget with the same error.
   for (const std::string& command :
        {"plan" + inputs,
         "clean" + inputs + " --out " + Path("b1.csv"),
         "clean" + inputs + " --adaptive --out " + Path("b2.csv"),
         "clean" + inputs + " --adaptive --sessions 2 --out " +
-            Path("b3.csv")}) {
+            Path("b3.csv"),
+        "clean --db " + Path("no_such_db.csv") + missing +
+            " --sessions 2 --out " + Path("b4.csv"),
+        "clean --snapshot " + Path("no_such.snap") + missing + " --out " +
+            Path("b5.csv")}) {
     EXPECT_EQ(Run(command, &out), 1) << command << ": " << out;
     EXPECT_NE(out.find("InvalidArgument: budget must be >= 0"),
               std::string::npos)

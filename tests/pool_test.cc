@@ -25,6 +25,7 @@
 #include "quality/tp.h"
 #include "rank/psr.h"
 #include "rank/psr_engine.h"
+#include "store/snapshot.h"
 #include "tests/test_util.h"
 #include "workload/synthetic.h"
 
@@ -363,7 +364,8 @@ TEST(SessionPoolLazy, FirstOutcomeMaterializesTheEagerFork) {
   }
   ASSERT_TRUE(engine->ReplaySession(overlay, replay_begin, &eager).ok());
   ASSERT_TRUE(UpdateTpQualityLadder(overlay, eager.outputs(), replay_begin,
-                                    &eager_tps)
+                                    engine->outputs().back(),
+                                    base_tps->back(), &eager_tps)
                   .ok());
   ASSERT_TRUE(pool->Refresh(id).ok());
 
@@ -410,6 +412,96 @@ TEST(SessionPoolLazy, RefreshAllMixesPristineAndCleanedSessions) {
                                "round " + std::to_string(round) +
                                    " session " + std::to_string(s));
     }
+  }
+}
+
+// ------------------------------------------------- checkpoint restores
+//
+// A checkpoint keeps only the count vector; the replay that restores it
+// re-derives the per-x-tuple masses over its overlay's prefix. Every
+// restore point a session can reach -- each shared engine checkpoint, and
+// each private checkpoint a session took past its own first clean --
+// must give the bits of a from-scratch scan of the overlay.
+
+TEST(SessionPoolCheckpoints, EveryRestorePointMatchesOverlayScan) {
+  SyntheticOptions synthetic;
+  synthetic.num_xtuples = 200;
+  synthetic.tuples_per_xtuple = 5;
+  synthetic.real_mass_min = 0.4;
+  synthetic.real_mass_max = 0.9;
+  synthetic.seed = 515;
+  Result<ProbabilisticDatabase> db = GenerateSynthetic(synthetic);
+  ASSERT_TRUE(db.ok()) << db.status();
+  const KLadder ladder = MakeLadder({4, 40});
+  for (const size_t threads : {1u, 4u}) {
+    SessionPool::Options options;
+    options.checkpoint_interval = 16;
+    options.exec.num_threads = threads;
+    Result<SessionPool> pool =
+        SessionPool::Create(ProbabilisticDatabase(*db), ladder, options);
+    ASSERT_TRUE(pool.ok()) << pool.status();
+    const ProbabilisticDatabase& base = pool->base();
+    const std::string label = "threads=" + std::to_string(threads);
+
+    // Shared: a clean whose first change lies in [p, next checkpoint)
+    // replays from p.
+    const std::vector<size_t> shared =
+        SnapshotAccess::EngineCheckpointPositions(*pool);
+    ASSERT_GT(shared.size(), 4u) << label;
+    size_t shared_restores = 0;
+    for (size_t c = 0; c < shared.size(); ++c) {
+      const size_t next =
+          c + 1 < shared.size() ? shared[c + 1] : base.num_tuples();
+      std::pair<XTupleId, TupleId> outcome;
+      if (!FindCleanFirstChangingIn(base, shared[c], next, &outcome)) {
+        continue;
+      }
+      const SessionPool::SessionId id = pool->OpenSession();
+      ASSERT_TRUE(
+          pool->ApplyCleanOutcome(id, outcome.first, outcome.second).ok());
+      ASSERT_TRUE(pool->Refresh(id).ok());
+      ExpectMatchesOverlayScan(*pool, id, {},
+                               label + " shared " + std::to_string(shared[c]));
+      ASSERT_TRUE(pool->Close(id).ok());
+      ++shared_restores;
+    }
+    EXPECT_GE(shared_restores + 2, shared.size()) << label;
+
+    // Private: a first clean in the first shared interval makes the
+    // session snapshot privately past it; a second clean whose first
+    // change lies in [q, next private checkpoint) replays from q, deeper
+    // than any shared checkpoint still valid for the session.
+    std::pair<XTupleId, TupleId> first;
+    ASSERT_TRUE(FindCleanFirstChangingIn(base, 0, shared[1], &first));
+    const auto open_with_first = [&]() {
+      const SessionPool::SessionId id = pool->OpenSession();
+      EXPECT_TRUE(pool->ApplyCleanOutcome(id, first.first, first.second).ok());
+      EXPECT_TRUE(pool->Refresh(id).ok());
+      return id;
+    };
+    const SessionPool::SessionId probe = open_with_first();
+    const std::vector<size_t> own =
+        SnapshotAccess::SessionCheckpointPositions(*pool, probe);
+    ASSERT_TRUE(pool->Close(probe).ok());
+    ASSERT_GT(own.size(), 4u) << label;
+    size_t private_restores = 0;
+    for (size_t c = 0; c < own.size(); ++c) {
+      const size_t next = c + 1 < own.size() ? own[c + 1] : base.num_tuples();
+      std::pair<XTupleId, TupleId> second;
+      if (!FindCleanFirstChangingIn(base, own[c], next, &second) ||
+          second.first == first.first) {
+        continue;
+      }
+      const SessionPool::SessionId id = open_with_first();
+      ASSERT_TRUE(
+          pool->ApplyCleanOutcome(id, second.first, second.second).ok());
+      ASSERT_TRUE(pool->Refresh(id).ok());
+      ExpectMatchesOverlayScan(*pool, id, {},
+                               label + " private " + std::to_string(own[c]));
+      ASSERT_TRUE(pool->Close(id).ok());
+      ++private_restores;
+    }
+    EXPECT_GE(private_restores + 2, own.size()) << label;
   }
 }
 

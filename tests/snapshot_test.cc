@@ -14,12 +14,13 @@
 //    moved a session's scan end backward, and the writer refuses
 //    (Status::Internal) a nonzero entry it would otherwise drop;
 //  * every corruption mode -- a bit flip inside each section, truncation
-//    at every section boundary, unknown feature flags, future, version-1
-//    and version-2 sections, missing sections, and checksum-valid payloads
-//    whose fields disagree (a live prefix longer or shorter than its scan
-//    end, a scan end past the table, a wrong nonzero count, a base TP
-//    scan end that is not its engine rung's) -- fails with
-//    Status::DataLoss;
+//    at every section boundary, unknown feature flags, future and
+//    version-1 to version-3 sections, missing sections, and
+//    checksum-valid payloads whose fields disagree (a live prefix longer
+//    or shorter than its scan end, a scan end past the table, a wrong
+//    nonzero count, a base TP scan end that is not its engine rung's, a
+//    checkpoint whose live, active or saturated count is not what its
+//    database derives) -- fails with Status::DataLoss;
 //  * a mid-campaign save (adaptive cleaning with faults, serial AND
 //    pipelined) resumes in a fresh pool and finishes with qualities,
 //    spend, probe logs, fault counters, Rng engines and FaultInjector
@@ -502,16 +503,17 @@ TEST(SnapshotCorruptionTest, UnknownFeatureFlagIsDataLoss) {
 
 TEST(SnapshotCorruptionTest, OtherSectionVersionIsDataLossNamingIt) {
   // A future version; version 1, which stored full-length vectors and
-  // member lists; and version 2, whose layout parses but whose count
-  // vectors come from the division-form divide-out. This reader keeps
-  // one decode path, so any version but its own is refused by section
-  // name, even when the bytes happen to parse, never reinterpreted.
+  // member lists; version 2, whose layout parses but whose count
+  // vectors come from the division-form divide-out; and version 3, whose
+  // checkpoints carry per-x-tuple entries. This reader keeps one decode
+  // path, so any version but its own is refused by section name, even
+  // when the bytes happen to parse, never reinterpreted.
   TestPool built = MakeServingPool(MakeDb(120), MakeLadder({5}));
   const std::string good = SerializedPool(built.pool);
   Result<store::SnapshotFile> file = store::SnapshotFile::Parse(good);
   ASSERT_TRUE(file.ok());
   for (const uint32_t version :
-       {store::kSectionVersion + 1, uint32_t{1}, uint32_t{2}}) {
+       {store::kSectionVersion + 1, uint32_t{1}, uint32_t{2}, uint32_t{3}}) {
     for (const store::SectionEntry& bump : file->sections()) {
       ASSERT_EQ(bump.version, store::kSectionVersion);
       store::SnapshotFileBuilder builder;
@@ -677,6 +679,121 @@ TEST(SnapshotCorruptionTest, BaseTpScanEndOffItsEngineRungIsDataLoss) {
     EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << bad.scan_end;
     EXPECT_NE(loaded.status().message().find("engine"), std::string::npos)
         << loaded.status().message();
+  }
+}
+
+/// The engine section split around its checkpoint list: `head` (options,
+/// ladder, rung outputs), the decoded checkpoints, and `rest` (the
+/// cadence). Tests rewrite one checkpoint field and re-encode, which
+/// keeps every CRC valid and puts exactly one inconsistency in the file.
+struct EngineCheckpoints {
+  struct Entry {
+    uint64_t pos = 0;
+    uint64_t live = 0;
+    std::vector<double> c;
+    uint64_t active = 0;
+    uint64_t saturated = 0;
+  };
+  std::string head;
+  std::vector<Entry> entries;
+  std::string rest;
+
+  std::string Encode() const {
+    store::BinWriter w;
+    w.PutVarint(entries.size());
+    for (const Entry& cp : entries) {
+      w.PutVarint(cp.pos);
+      w.PutVarint(cp.live);
+      w.PutF64Array(cp.c.data(), cp.c.size());
+      w.PutVarint(cp.active);
+      w.PutVarint(cp.saturated);
+    }
+    return head + w.Take() + rest;
+  }
+};
+
+EngineCheckpoints SplitEngineCheckpoints(std::string_view payload) {
+  // Skips the two option flags, the ladder and every rung's PSR output.
+  store::BinReader r(payload);
+  bool flag = false;
+  std::vector<size_t> ks;
+  uint64_t value = 0;
+  int64_t index = 0;
+  std::vector<double> doubles;
+  UCLEAN_CHECK(r.GetBool(&flag).ok());
+  UCLEAN_CHECK(r.GetBool(&flag).ok());
+  UCLEAN_CHECK(r.GetVarintArray(&ks).ok());
+  uint64_t rungs = 0;
+  UCLEAN_CHECK(r.GetVarint(&rungs).ok());
+  for (uint64_t j = 0; j < rungs; ++j) {
+    for (int field = 0; field < 3; ++field) {  // k, scan_end, num_nonzero
+      UCLEAN_CHECK(r.GetVarint(&value).ok());
+    }
+    UCLEAN_CHECK(r.GetF64Array(&doubles).ok());  // top-k prefix
+    UCLEAN_CHECK(r.GetF64Array(&doubles).ok());  // best_rank_prob
+    UCLEAN_CHECK(r.GetVarint(&value).ok());
+    for (uint64_t h = 0; h < value; ++h) {
+      UCLEAN_CHECK(r.GetZigzag(&index).ok());
+    }
+    bool has_matrix = false;
+    UCLEAN_CHECK(r.GetBool(&has_matrix).ok());
+    if (has_matrix) UCLEAN_CHECK(r.GetF64Array(&doubles).ok());
+  }
+  EngineCheckpoints split;
+  split.head = std::string(payload.substr(0, r.offset()));
+  uint64_t count = 0;
+  UCLEAN_CHECK(r.GetVarint(&count).ok());
+  split.entries.resize(count);
+  for (EngineCheckpoints::Entry& cp : split.entries) {
+    UCLEAN_CHECK(r.GetVarint(&cp.pos).ok());
+    UCLEAN_CHECK(r.GetVarint(&cp.live).ok());
+    UCLEAN_CHECK(r.GetF64Array(&cp.c).ok());
+    UCLEAN_CHECK(r.GetVarint(&cp.active).ok());
+    UCLEAN_CHECK(r.GetVarint(&cp.saturated).ok());
+  }
+  split.rest = std::string(payload.substr(r.offset()));
+  return split;
+}
+
+TEST(SnapshotCorruptionTest, CheckpointCountsOffTheirDatabaseAreDataLoss) {
+  // Checkpoints store no per-x-tuple masses: a replay re-derives them
+  // from the prefix above the checkpoint, and the reader runs that
+  // derivation once per list. A checksum-valid checkpoint whose live
+  // ordinal, active count or saturated count disagrees with it is
+  // DataLoss naming the section -- a wrong live would silently move the
+  // count-refresh grid, a wrong active would abort the first refresh.
+  TestPool built = MakeServingPool(MakeDb(), MakeLadder({5, 40}));
+  const std::string good = SerializedPool(built.pool);
+  Result<store::SnapshotFile> file = store::SnapshotFile::Parse(good);
+  ASSERT_TRUE(file.ok());
+  const EngineCheckpoints split = SplitEngineCheckpoints(
+      file->payload(*file->Find(store::kSectionEngine)));
+  ASSERT_GE(split.entries.size(), 2u);
+  const size_t last = split.entries.size() - 1;
+  ASSERT_GT(split.entries[last].live, 0u);
+  // The split re-encodes faithfully: unchanged fields load.
+  ASSERT_TRUE(SnapshotAccess::Deserialize(
+                  ReplaceSection(good, store::kSectionEngine, split.Encode()),
+                  SessionPool::Options())
+                  .ok());
+
+  std::vector<std::pair<const char*, EngineCheckpoints>> cases;
+  cases.emplace_back("live ordinal", split);
+  --cases.back().second.entries[last].live;
+  // The count vector grows with it, so only the re-derivation can tell.
+  cases.emplace_back("active count", split);
+  ++cases.back().second.entries[last].active;
+  cases.back().second.entries[last].c.push_back(0.0);
+  cases.emplace_back("saturated count", split);
+  ++cases.back().second.entries[last].saturated;
+  for (const auto& [label, bad] : cases) {
+    Result<store::LoadedSnapshot> loaded = SnapshotAccess::Deserialize(
+        ReplaceSection(good, store::kSectionEngine, bad.Encode()),
+        SessionPool::Options());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << label;
+    EXPECT_NE(loaded.status().message().find("engine checkpoint"),
+              std::string::npos)
+        << label << ": " << loaded.status().message();
   }
 }
 

@@ -934,6 +934,8 @@ Status RunCleanFromSnapshot(const Flags& flags) {
   CLI_ASSIGN_OR_RETURN(profile_path, flags.GetString("profile"));
   CLI_ASSIGN_OR_RETURN(out, flags.GetString("out"));
   CLI_ASSIGN_OR_RETURN(budget, flags.GetInt("budget"));
+  // Before the snapshot open, the most expensive step of this path.
+  if (budget < 0) return Status::InvalidArgument("budget must be >= 0");
   CLI_ASSIGN_OR_RETURN(seed, flags.GetInt("seed", 1));
   CLI_ASSIGN_OR_RETURN(planner,
                        ParsePlanner(flags.GetString("planner", "greedy")));
@@ -981,6 +983,9 @@ Status RunClean(const Flags& flags) {
   const KLadder& cli_ladder = scan_options.ladder;
   const ExecOptions& exec = scan_options.exec;
   CLI_ASSIGN_OR_RETURN(budget, flags.GetInt("budget"));
+  // Before any input is read: the pooled path would otherwise build its
+  // pool (a full scan + TP pass) before the loop refused the budget.
+  if (budget < 0) return Status::InvalidArgument("budget must be >= 0");
   CLI_ASSIGN_OR_RETURN(seed, flags.GetInt("seed", 1));
   CLI_ASSIGN_OR_RETURN(planner,
                        ParsePlanner(flags.GetString("planner", "greedy")));
