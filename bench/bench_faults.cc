@@ -22,6 +22,8 @@
 // Output: a per-series table on stdout and a machine-readable
 // BENCH_faults.json gated by tools/check_bench.py in CI.
 
+#include <time.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -49,10 +51,22 @@ constexpr size_t kMaxRounds = 16;
 constexpr size_t kPoolSessions = 4;
 // The zero-fault overhead is a few percent of a sub-millisecond probe
 // loop, far below single-run timer noise: each sample times a BATCH of
-// campaigns, samples alternate which arm runs first (first-runner bias
-// cancels), and the gate compares each arm's fastest batch.
+// campaigns in thread CPU time (host preemption does not count),
+// samples alternate which arm runs first (first-runner bias cancels),
+// and the gate compares each arm's fastest batch.
 constexpr int kOverheadSamples = 8;
 constexpr int kCampaignsPerSample = 12;
+
+/// CPU time this thread has consumed, in milliseconds. The overhead
+/// batches run their campaigns on the calling thread (the adaptive
+/// loop's exec is sequential), so thread CPU time counts the campaign's
+/// work and not the time the host scheduled other processes instead.
+double ThreadCpuMillis() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) * 1e-6;
+}
 
 FaultOptions MakeFault(double fail_rate) {
   FaultOptions fault;
@@ -172,7 +186,7 @@ int main() {
     for (int half = 0; half < 2; ++half) {
       // Even samples run fault-off first, odd samples fault-on first.
       const bool fault_on = (sample % 2 == 0) == (half == 1);
-      Stopwatch timer;
+      const double start_ms = ThreadCpuMillis();
       for (int rep = 0; rep < kCampaignsPerSample; ++rep) {
         Result<AdaptiveReport> run = RunCampaign(
             *db, *profile, overhead_budget,
@@ -186,7 +200,7 @@ int main() {
           (fault_on ? report_on0 : report_off) = std::move(run).value();
         }
       }
-      (fault_on ? on_ms : off_ms).push_back(timer.ElapsedMillis());
+      (fault_on ? on_ms : off_ms).push_back(ThreadCpuMillis() - start_ms);
     }
   }
   // Minimum-of-samples, not totals or medians: scheduler noise only ever

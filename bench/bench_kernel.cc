@@ -15,6 +15,15 @@
 //                 parity, not speedup, and the gate is only a >= 0.95
 //                 no-regression floor.
 //
+// The lanes arm times three independent session replays of the
+// alternatives workload (PsrEngine::ReplaySessions over three overlays,
+// each cleaned in a different early checkpoint interval) run as ONE lane
+// group -- the three scans step together and their divide-outs go through
+// one fused divide_out_lanes call, so the sequential chains overlap --
+// against the same three replays back to back (ReplaySession each).
+// Both arms must leave bitwise-equal session outputs; the gate is a
+// lanes speedup floor.
+//
 // A third arm, `reference`, re-implements the pre-refactor FUSED scalar
 // scan loop inline (array-of-plain-vectors state, fused emission sum)
 // for the independent regime: the structure-of-arrays core must not tax
@@ -40,8 +49,10 @@
 #include "bench/bench_util.h"
 #include "common/rng.h"
 #include "model/database.h"
+#include "model/database_overlay.h"
 #include "rank/kernel.h"
 #include "rank/psr.h"
+#include "rank/psr_engine.h"
 #include "rank/psr_scan_core.h"
 #include "workload/synthetic.h"
 
@@ -188,6 +199,48 @@ double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
   return max_diff;
 }
 
+/// The lanes arm's setup: an engine over `db` and one overlay per lane,
+/// each resolving the x-tuple whose best member opens its own early
+/// checkpoint interval (lane s restores checkpoint s), so the lanes'
+/// scans run offset from each other as a campaign's sessions do.
+struct LaneReplays {
+  PsrEngine engine;
+  std::vector<DatabaseOverlay> overlays;
+  std::vector<size_t> first_changed;
+};
+
+constexpr size_t kLanes = 3;
+
+Result<LaneReplays> MakeLaneReplays(const ProbabilisticDatabase& db) {
+  Result<ScanRequest> request = ScanRequest::ForK(kTopK);
+  if (!request.ok()) return request.status();
+  Result<PsrEngine> engine = PsrEngine::Create(db, *request);
+  if (!engine.ok()) return engine.status();
+  LaneReplays replays{std::move(engine).value(), {}, {}};
+  const std::vector<size_t> cps = replays.engine.checkpoint_positions();
+  UCLEAN_CHECK(cps.size() > kLanes);
+  for (size_t s = 0; s < kLanes; ++s) {
+    DatabaseOverlay overlay(&db);
+    for (size_t r = cps[s]; r < cps[s + 1]; ++r) {
+      const Tuple& t = db.tuple(r);
+      if (db.xtuple_members(t.xtuple).front() != static_cast<int32_t>(r)) {
+        continue;
+      }
+      Result<ProbabilisticDatabase::CleanOutcomeDelta> delta =
+          overlay.ApplyCleanOutcome(t.xtuple, t.id);
+      if (!delta.ok()) return delta.status();
+      replays.first_changed.push_back(delta->first_changed_rank);
+      break;
+    }
+    if (replays.first_changed.size() != s + 1) {
+      return Status::Internal("no clean opens checkpoint interval " +
+                              std::to_string(s));
+    }
+    replays.overlays.push_back(std::move(overlay));
+  }
+  return replays;
+}
+
 struct Series {
   std::string workload;
   std::string arm;
@@ -221,9 +274,10 @@ int main() {
       "Vectorized scan kernel",
       "single-thread scalar vs AVX2 scan throughput on a fold-bound "
       "independent workload (the vectorized loops) and a divide-out-bound "
-      "alternatives workload (provably sequential; parity expected), plus "
-      "the fused pre-refactor scalar loop as the SoA overhead baseline; "
-      "all arms must stay bitwise equal");
+      "alternatives workload (provably sequential; parity expected), three "
+      "replays of it as one lane group vs back to back, plus the fused "
+      "pre-refactor scalar loop as the SoA overhead baseline; all arms must "
+      "stay bitwise equal");
   std::printf("# hardware_concurrency: %u, avx2: %s\n", cores,
               avx2 ? "true" : "false");
   bench::Header("workload,arm,ms,tuples_per_sec,max_abs_diff");
@@ -313,6 +367,63 @@ int main() {
     all.push_back(alt_avx2_series);
   }
 
+  // ------------------------------------------------------------ lanes
+  Result<LaneReplays> lane_replays = MakeLaneReplays(alternatives);
+  if (!lane_replays.ok()) {
+    std::printf("lanes setup failed: %s\n",
+                lane_replays.status().ToString().c_str());
+    return 1;
+  }
+  const PsrEngine& engine = lane_replays->engine;
+  std::vector<PsrEngine::SessionState> grouped_states, solo_states;
+  std::vector<PsrEngine::SessionReplay> group;
+  for (size_t s = 0; s < kLanes; ++s) {
+    grouped_states.push_back(engine.ForkSession());
+    solo_states.push_back(engine.ForkSession());
+  }
+  for (size_t s = 0; s < kLanes; ++s) {
+    group.push_back({&lane_replays->overlays[s],
+                     lane_replays->first_changed[s], &grouped_states[s]});
+  }
+  // Every replay restores the same checkpoint and rescans the same
+  // suffix, so repeated calls time identical work.
+  const auto run_lanes = [&] {
+    for (const Status& status : engine.ReplaySessions(group)) {
+      UCLEAN_CHECK(status.ok());
+    }
+  };
+  const auto run_back_to_back = [&] {
+    for (size_t s = 0; s < kLanes; ++s) {
+      UCLEAN_CHECK(engine
+                       .ReplaySession(lane_replays->overlays[s],
+                                      lane_replays->first_changed[s],
+                                      &solo_states[s])
+                       .ok());
+    }
+  };
+  run_back_to_back();
+  size_t lane_tuples = 0;
+  for (size_t s = 0; s < kLanes; ++s) {
+    lane_tuples += solo_states[s].output(0).scan_end -
+                   lane_replays->first_changed[s];
+  }
+  Series back_to_back_series = TimeArm("alternatives_x3", "back_to_back",
+                                       lane_tuples, run_back_to_back);
+  Series lanes_series =
+      TimeArm("alternatives_x3", "lanes", lane_tuples, run_lanes);
+  for (size_t s = 0; s < kLanes; ++s) {
+    const PsrOutput& grouped = grouped_states[s].output(0);
+    const PsrOutput& solo = solo_states[s].output(0);
+    lanes_series.max_abs_diff = std::max(
+        lanes_series.max_abs_diff, MaxAbsDiff(grouped.topk_prob, solo.topk_prob));
+    if (grouped.scan_end != solo.scan_end ||
+        grouped.num_nonzero != solo.num_nonzero) {
+      ok = false;
+    }
+  }
+  all.push_back(back_to_back_series);
+  all.push_back(lanes_series);
+
   for (const Series& s : all) {
     std::printf("%s,%s,%.3f,%.0f,%.3e\n", s.workload.c_str(), s.arm.c_str(),
                 s.ms, s.tuples_per_sec, s.max_abs_diff);
@@ -329,12 +440,16 @@ int main() {
           : 0.0;
   const double scalar_vs_reference =
       ref_series.ms > 0.0 ? ind_scalar_series.ms / ref_series.ms : 0.0;
+  const double lanes_vs_back_to_back =
+      lanes_series.ms > 0.0 ? back_to_back_series.ms / lanes_series.ms : 0.0;
 
   std::printf("\n# independent avx2_vs_scalar: %.2fx\n",
               independent_avx2_vs_scalar);
   std::printf("# alternatives avx2_vs_scalar: %.2fx\n",
               alternatives_avx2_vs_scalar);
   std::printf("# scalar_vs_reference overhead: %.3fx\n", scalar_vs_reference);
+  std::printf("# alternatives x%zu lanes_vs_back_to_back: %.2fx\n", kLanes,
+              lanes_vs_back_to_back);
   if (!ok) {
     std::printf("MISMATCH: kernel outputs are not bitwise equal\n");
   }
@@ -350,8 +465,9 @@ int main() {
   std::fprintf(json,
                "  \"workload\": \"independent 8K singleton x-tuples (fold-"
                "bound), alternatives 800x10 Gaussian (divide-out-bound), "
-               "k = %zu, single thread\",\n",
-               kTopK);
+               "alternatives_x3 = %zu session replays of it as one lane "
+               "group vs back to back, k = %zu, single thread\",\n",
+               kLanes, kTopK);
   std::fprintf(json, "  \"hardware_concurrency\": %u,\n", cores);
   std::fprintf(json, "  \"avx2\": %s,\n", avx2 ? "true" : "false");
   std::fprintf(json, "  \"independent_avx2_vs_scalar\": %.4f,\n",
@@ -360,6 +476,8 @@ int main() {
                alternatives_avx2_vs_scalar);
   std::fprintf(json, "  \"scalar_vs_reference\": %.4f,\n",
                scalar_vs_reference);
+  std::fprintf(json, "  \"lanes_vs_back_to_back\": %.4f,\n",
+               lanes_vs_back_to_back);
   std::fprintf(json, "  \"bitwise_equal\": %s,\n", ok ? "true" : "false");
   std::fprintf(json, "  \"series\": [\n");
   for (size_t i = 0; i < all.size(); ++i) {

@@ -105,23 +105,34 @@ Status SessionPool::ApplyCleanOutcome(SessionId id, XTupleId xtuple,
   return Status::OK();
 }
 
-Status SessionPool::RefreshSession(Session* session) {
-  if (session->pending_replay_begin == kNoPending) return Status::OK();
-  const size_t replay_begin = session->pending_replay_begin;
-  UCLEAN_RETURN_IF_ERROR(
-      engine_.ReplaySession(session->overlay, replay_begin, &session->scan));
-  UCLEAN_RETURN_IF_ERROR(UpdateTpQualityLadder(
-      session->overlay, session->scan.outputs(), replay_begin,
-      engine_.outputs().back(), base_tps_.back(), &session->tps,
-      options_.exec));
-  session->pending_replay_begin = kNoPending;
-  return Status::OK();
+void SessionPool::RefreshSessions(Session* const* sessions, size_t n,
+                                  Status* statuses) {
+  std::vector<PsrEngine::SessionReplay> replays(n);
+  for (size_t i = 0; i < n; ++i) {
+    replays[i] = {&sessions[i]->overlay, sessions[i]->pending_replay_begin,
+                  &sessions[i]->scan};
+  }
+  const std::vector<Status> replayed = engine_.ReplaySessions(replays);
+  for (size_t i = 0; i < n; ++i) {
+    Session* session = sessions[i];
+    statuses[i] = replayed[i];
+    if (!statuses[i].ok()) continue;  // the session stays dirty
+    statuses[i] = UpdateTpQualityLadder(
+        session->overlay, session->scan.outputs(),
+        session->pending_replay_begin, engine_.outputs().back(),
+        base_tps_.back(), &session->tps, options_.exec);
+    if (statuses[i].ok()) session->pending_replay_begin = kNoPending;
+  }
 }
 
 Status SessionPool::Refresh(SessionId id) {
   ScopedSerialCall guard(gate_);
   UCLEAN_RETURN_IF_ERROR(CheckOpen(id));
-  return RefreshSession(&sessions_[id]);
+  Session* session = &sessions_[id];
+  if (session->pending_replay_begin == kNoPending) return Status::OK();
+  Status status;
+  RefreshSessions(&session, 1, &status);
+  return status;
 }
 
 Status SessionPool::RefreshAll() {
@@ -132,19 +143,29 @@ Status SessionPool::RefreshAll() {
       pending.push_back(&session);
     }
   }
-  // Fan whole sessions across the pool: each task reads only the shared
-  // engine (immutable after Create) and writes only its own session, so
-  // per-session results are bitwise what Refresh(id) would produce. A
-  // session's own replay degrades to its sequential path on the worker
-  // (nested parallelism runs inline), which is exactly the right shape:
-  // the parallelism budget is spent across sessions.
-  std::vector<Status> statuses(pending.size(), Status::OK());
-  ExecParallelFor(options_.exec, pending.size(), [&](size_t i) {
+  // Split the pending sessions into lane groups, one task each: each
+  // task reads only the shared engine (immutable after Create) and
+  // writes only its own sessions, so per-session results are bitwise
+  // what Refresh(id) would produce. With no more sessions than the
+  // pool's threads every session gets a task of its own (a lone replay
+  // on the caller may still shard); beyond that the groups share the
+  // threads, up to kMaxScanLanes lanes each -- so inline, all of a
+  // campaign's sessions replay in lockstep on the one thread.
+  const size_t width =
+      options_.exec.pool != nullptr ? options_.exec.pool->num_threads() : 1;
+  const size_t p = pending.size();
+  const size_t groups = std::min(
+      p, std::max(width, (p + psr_internal::kMaxScanLanes - 1) /
+                             psr_internal::kMaxScanLanes));
+  std::vector<Status> statuses(p, Status::OK());
+  ExecParallelFor(options_.exec, groups, [&](size_t g) {
     // Workers run inside the window this call opened; the caller blocks
     // in ExecParallelFor until every task is done, so the gate stays
     // held for the whole fan-out.
     gate_.AssertHeld();
-    statuses[i] = RefreshSession(pending[i]);
+    const size_t lo = g * p / groups;
+    const size_t hi = (g + 1) * p / groups;
+    RefreshSessions(pending.data() + lo, hi - lo, statuses.data() + lo);
   });
   for (Status& status : statuses) {
     if (!status.ok()) return status;

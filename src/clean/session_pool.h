@@ -194,13 +194,20 @@ class SessionPool {
   /// the session is clean.
   Status Refresh(SessionId id) UCLEAN_EXCLUDES(gate_);
 
-  /// Refreshes EVERY dirty open session, running the per-session
-  /// replay + TP work concurrently on Options::exec's pool (sequentially
-  /// without one). Sessions only read the shared engine state and write
-  /// their own, so the fan-out is race-free by construction and each
-  /// session's result is bitwise the result of calling Refresh(id)
-  /// itself. Returns the first error encountered (remaining sessions
-  /// are still attempted; a failed session stays dirty).
+  /// Refreshes EVERY dirty open session. The pending sessions' replays
+  /// run in lane groups (PsrEngine::ReplaySessions): a group steps up to
+  /// psr_internal::kMaxScanLanes sessions' scans in lockstep on one
+  /// thread, so their sequential divide-outs overlap. The groups follow
+  /// the width W of Options::exec's pool (1 without one): P <= W pending
+  /// sessions get one task each, as Refresh(id) runs them (a lone one may
+  /// shard its replay); P > W sessions are spread over max(W, ceil(P /
+  /// 4)) groups, so inline every group of up to 4 shares the caller's
+  /// thread. Each session's delta TP pass runs after its group's
+  /// replays. Sessions only read the shared engine state and write their
+  /// own, so the fan-out is race-free by construction and each session's
+  /// result is bitwise the result of calling Refresh(id) itself. Returns
+  /// the first error encountered (remaining sessions are still
+  /// attempted; a failed session stays dirty).
   Status RefreshAll() UCLEAN_EXCLUDES(gate_);
 
   /// True when outcomes were applied to `id` since its last Refresh.
@@ -286,9 +293,13 @@ class SessionPool {
 
   /// Refresh body inside a caller-opened gate window, shared by Refresh
   /// and RefreshAll's fan-out (whose worker tasks run under the caller's
-  /// window and state that fact with gate_.AssertHeld()). Touches only
-  /// `session`'s state plus the read-only shared engine.
-  Status RefreshSession(Session* session) UCLEAN_REQUIRES(gate_);
+  /// window and state that fact with gate_.AssertHeld()): one lane group
+  /// of replays (PsrEngine::ReplaySessions) over the `n` dirty
+  /// `sessions`, then each one's delta TP pass. statuses[i] receives
+  /// session i's outcome; a failed session stays dirty. Touches only
+  /// these sessions' state plus the read-only shared engine.
+  void RefreshSessions(Session* const* sessions, size_t n, Status* statuses)
+      UCLEAN_REQUIRES(gate_);
 
   const Session& Slot(SessionId id) const {
     UCLEAN_CHECK(id < sessions_.size() && sessions_[id].open);

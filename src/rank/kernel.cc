@@ -6,8 +6,10 @@
 
 #include "rank/kernel.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 namespace uclean {
 namespace psr_internal {
@@ -48,6 +50,97 @@ void DivideOutBwdScalar(double* excl, const double* c, std::size_t top,
   for (std::size_t j = top - 1; j > 0; --j) {
     const double v = c[j] * r - excl[j] * s;
     excl[j - 1] = v < 0.0 ? 0.0 : v;
+  }
+}
+
+DivideOutLane StartDivideOutLane(double* excl, const double* c,
+                                 std::size_t top, double q, bool forward) {
+  DivideOutLane lane;
+  if (forward) {
+    lane.r = 1.0 / (1.0 - q);
+    lane.s = q * lane.r;
+    lane.in = c;
+    lane.out = excl;
+    lane.stride = 1;
+  } else {
+    lane.r = 1.0 / q;
+    lane.s = (1.0 - q) * lane.r;
+    lane.in = c + top;
+    lane.out = excl + (top - 1);
+    lane.stride = -1;
+  }
+  lane.prev = *lane.in * lane.r;
+  *lane.out = lane.prev;
+  lane.len = top - 1;
+  return lane;
+}
+
+namespace {
+
+// One element of one lane: the mul, sub and clamp of the solo loops.
+inline void StepDivideOutLane(const double*& in, double*& out,
+                              std::ptrdiff_t stride, double r, double s,
+                              double& prev) {
+  in += stride;
+  out += stride;
+  const double v = *in * r - prev * s;
+  prev = v < 0.0 ? 0.0 : v;
+  *out = prev;
+}
+
+// Steps the first sizeof...(L) lanes `m` elements each, interleaved: the
+// lanes' state lives in locals the expanded body keeps in registers, and
+// the independent mul->sub chains fill each other's latency.
+template <std::size_t... L>
+void StepDivideOutLanes(DivideOutLane* lanes, std::size_t m,
+                        std::index_sequence<L...>) {
+  const double* in[] = {lanes[L].in...};
+  double* out[] = {lanes[L].out...};
+  const std::ptrdiff_t stride[] = {lanes[L].stride...};
+  const double r[] = {lanes[L].r...};
+  const double s[] = {lanes[L].s...};
+  double prev[] = {lanes[L].prev...};
+  for (std::size_t j = 0; j < m; ++j) {
+    (StepDivideOutLane(in[L], out[L], stride[L], r[L], s[L], prev[L]), ...);
+  }
+  ((lanes[L].in = in[L], lanes[L].out = out[L], lanes[L].prev = prev[L],
+    lanes[L].len -= m),
+   ...);
+}
+
+}  // namespace
+
+void DivideOutLanesScalar(DivideOutLane* lanes, std::size_t n) {
+  if (n > kMaxDivideOutLanes) {
+    DivideOutLanesScalar(lanes, kMaxDivideOutLanes);
+    DivideOutLanesScalar(lanes + kMaxDivideOutLanes, n - kMaxDivideOutLanes);
+    return;
+  }
+  for (;;) {
+    // Drop the finished lanes; the rest step together over the shortest
+    // remaining length.
+    std::size_t running = 0;
+    for (std::size_t l = 0; l < n; ++l) {
+      if (lanes[l].len > 0) lanes[running++] = lanes[l];
+    }
+    n = running;
+    if (n == 0) return;
+    std::size_t m = lanes[0].len;
+    for (std::size_t l = 1; l < n; ++l) m = std::min(m, lanes[l].len);
+    switch (n) {
+      case 1:
+        StepDivideOutLanes(lanes, m, std::make_index_sequence<1>());
+        break;
+      case 2:
+        StepDivideOutLanes(lanes, m, std::make_index_sequence<2>());
+        break;
+      case 3:
+        StepDivideOutLanes(lanes, m, std::make_index_sequence<3>());
+        break;
+      default:
+        StepDivideOutLanes(lanes, m, std::make_index_sequence<4>());
+        break;
+    }
   }
 }
 
@@ -106,9 +199,9 @@ bool CpuHasAvx2() {
 
 const ScanKernel& ScalarScanKernel() {
   static const ScanKernel kernel = {
-      KernelKind::kScalar, "scalar",          FoldFactorScalar,
-      DivideOutFwdScalar,  DivideOutBwdScalar, ScaleScalar,
-      UpdateArgmaxScalar,  EmitSegmentScalar,
+      KernelKind::kScalar,  "scalar",           FoldFactorScalar,
+      DivideOutFwdScalar,   DivideOutBwdScalar, DivideOutLanesScalar,
+      ScaleScalar,          UpdateArgmaxScalar, EmitSegmentScalar,
   };
   return kernel;
 }

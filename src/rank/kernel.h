@@ -96,6 +96,35 @@ struct AlignedAllocator {
 using AlignedBuf =
     std::vector<double, AlignedAllocator<double, 32>>;
 
+/// Most divide-outs one divide_out_lanes call interleaves: the width of
+/// a scan lane group (rank/psr_scan_core.h's RunLadderScanLanes).
+constexpr std::size_t kMaxDivideOutLanes = 4;
+
+/// One divide-out recurrence part-way through its loop, in a form that
+/// runs forward and backward alike: each step moves `in` and `out` by
+/// `stride` (+1 forward, -1 backward) and writes
+///     *out = max(0, *in * r - prev * s),   prev = *out
+/// -- the exact mul, sub and clamp of divide_out_fwd / divide_out_bwd.
+/// `in` and `out` point at the last element read and written (the seed
+/// first); `len` elements remain.
+struct DivideOutLane {
+  const double* in;
+  double* out;
+  std::ptrdiff_t stride;
+  double r;
+  double s;
+  double prev;
+  std::size_t len;
+};
+
+/// Starts one lane of the divide-out divide_out_fwd (`forward`) or
+/// divide_out_bwd would run on (excl, c, top, q): takes r and s and
+/// writes the seed element exactly as that call does, and returns the
+/// lane that writes the remaining top - 1 elements. Shared by every
+/// kernel (defined in kernel.cc, under its FP pinning).
+DivideOutLane StartDivideOutLane(double* excl, const double* c,
+                                 std::size_t top, double q, bool forward);
+
 /// One retargetable kernel table. All functions tolerate the degenerate
 /// sizes the scan produces (top >= 1 for fold, top >= 1 for divide-out,
 /// n == 0 for the emission ops).
@@ -133,6 +162,17 @@ struct ScanKernel {
   void (*divide_out_bwd)(double* excl, const double* c, std::size_t top,
                          double q);
 
+  /// Runs `n` independent started divide-outs (StartDivideOutLane) to
+  /// completion, interleaved: one loop body steps every lane over their
+  /// common remaining length, so the lanes' loop-carried chains overlap
+  /// instead of running back to back; lanes then drop out as they finish
+  /// and the rest go on together. Each element sees exactly the ops of
+  /// the solo call its lane started from, so every output is bitwise
+  /// what divide_out_fwd / divide_out_bwd writes. The lanes' outputs
+  /// must not overlap any lane's input; `lanes` is scratch (its contents
+  /// are unspecified on return). Identical scalar code in every kernel.
+  void (*divide_out_lanes)(DivideOutLane* lanes, std::size_t n);
+
   /// dst[i] = e * src[i] for i in [0, n). dst and src must not overlap.
   void (*scale)(double* dst, const double* src, std::size_t n, double e);
 
@@ -168,6 +208,7 @@ void DivideOutFwdScalar(double* excl, const double* c, std::size_t top,
                         double q);
 void DivideOutBwdScalar(double* excl, const double* c, std::size_t top,
                         double q);
+void DivideOutLanesScalar(DivideOutLane* lanes, std::size_t n);
 
 /// The portable scalar kernel (always available).
 const ScanKernel& ScalarScanKernel();

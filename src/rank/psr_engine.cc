@@ -30,9 +30,10 @@ Result<PsrEngine> PsrEngine::Create(const ProbabilisticDatabase& db,
   psr_internal::InitLadderOutputs(db.num_tuples(), request.ladder, request.psr,
                                   &engine.outputs_);
   engine.core_.Init(db.num_xtuples(), *kernel);
-  ScanFrom(db, 0, 0, engine.options_, engine.exec_, &engine.core_,
-           &engine.outputs_, &engine.checkpoints_,
-           &engine.checkpoint_interval_);
+  const ScanJob<ProbabilisticDatabase> job = {
+      &db,           0, 0, &engine.core_, &engine.outputs_, &engine.checkpoints_,
+      &engine.checkpoint_interval_};
+  ScanFrom(&job, 1, /*track_best=*/true, engine.options_, engine.exec_);
   return engine;
 }
 
@@ -79,12 +80,10 @@ void PsrEngine::RestoreInto(const DatabaseOverlay& db, const Checkpoint& cp,
   core->c.assign(cp.c.begin(), cp.c.end());
 }
 
-template <typename Db>
-void PsrEngine::ScanFrom(const Db& db, size_t begin, size_t live_at_begin,
-                         const PsrOptions& options, const ExecOptions& exec,
-                         psr_internal::ScanCore* core,
-                         std::vector<PsrOutput>* outputs,
-                         std::vector<Checkpoint>* cps, size_t* interval) {
+size_t PsrEngine::BeginScan(size_t begin, bool track_best,
+                            const psr_internal::ScanCore& core,
+                            std::vector<PsrOutput>* outputs,
+                            std::vector<Checkpoint>* cps, size_t* interval) {
   // A rung whose scan already stopped at or before `begin` cannot be
   // affected: its output beyond scan_end is identically zero and the state
   // that produced its stop decision is prefix-only. Everything deeper
@@ -97,9 +96,6 @@ void PsrEngine::ScanFrom(const Db& db, size_t begin, size_t live_at_begin,
       ++first_active;
     }
   }
-  std::vector<PsrOutput*> outs;
-  outs.reserve(outputs->size());
-  for (PsrOutput& out : *outputs) outs.push_back(&out);
   for (size_t j = first_active; j < outputs->size(); ++j) {
     PsrOutput& out = (*outputs)[j];
     // Everything at or past the rung's previous scan end is already zero
@@ -112,30 +108,40 @@ void PsrEngine::ScanFrom(const Db& db, size_t begin, size_t live_at_begin,
       std::fill(out.rank_prob.begin() + begin * out.k,
                 out.rank_prob.begin() + wipe_end * out.k, 0.0);
     }
-    if (begin == 0) {
-      // A from-rank-0 scan re-runs the argmax trackers; clear the maxima a
-      // previous scan left behind (a replay of the whole range restores
-      // the rank-0 checkpoint but reuses the output buffers).
+    if (track_best) {
       std::fill(out.best_rank_prob.begin(), out.best_rank_prob.end(), 0.0);
       std::fill(out.best_rank_index.begin(), out.best_rank_index.end(), -1);
     }
   }
   if (begin == 0) {
     cps->clear();
-    SnapshotInto(*core, 0, 0, cps, interval);
+    SnapshotInto(core, 0, 0, cps, interval);
+  }
+  return first_active;
+}
+
+template <typename Db>
+void PsrEngine::ScanFrom(const ScanJob<Db>* jobs, size_t n, bool track_best,
+                         const PsrOptions& options, const ExecOptions& exec) {
+  UCLEAN_CHECK(n >= 1 && n <= psr_internal::kMaxScanLanes);
+  std::vector<PsrOutput*> outs[psr_internal::kMaxScanLanes];
+  size_t first_active[psr_internal::kMaxScanLanes];
+  for (size_t l = 0; l < n; ++l) {
+    const ScanJob<Db>& job = jobs[l];
+    first_active[l] = BeginScan(job.begin, track_best, *job.core, job.outputs,
+                                job.cps, job.interval);
+    for (PsrOutput& out : *job.outputs) outs[l].push_back(&out);
   }
 
-  // Running argmaxes are only meaningful over a whole scan; a partial
-  // replay rebuilds them from the stored matrix in FinalizeAggregates.
-  const bool track_best = begin == 0;
-
-  // Parallel path: shard the active rungs' range over the pool. Shard s
-  // snapshots into its own list (its rebuilt boundary state first, then
-  // on the usual live-tuple cadence); the lists merge in shard order and
-  // thin to capacity, so checkpoint PLACEMENT differs from the
-  // sequential path while every snapshot remains a valid restore point.
+  // Parallel path, one scan only: shard the active rungs' range over the
+  // pool. Shard s snapshots into its own list (its rebuilt boundary state
+  // first, then on the usual live-tuple cadence); the lists merge in
+  // shard order and thin to capacity, so checkpoint PLACEMENT differs
+  // from the sequential path while every snapshot remains a valid
+  // restore point.
   bool sharded = false;
-  if (exec.parallel()) {
+  if (n == 1 && exec.parallel()) {
+    const ScanJob<Db>& job = jobs[0];
     struct ShardCheckpoints {
       std::vector<Checkpoint> cps;
       size_t interval = 0;
@@ -143,7 +149,7 @@ void PsrEngine::ScanFrom(const Db& db, size_t begin, size_t live_at_begin,
       bool snapshot_first = false;
     };
     std::vector<ShardCheckpoints> shard_cps;
-    const size_t base_interval = *interval;
+    const size_t base_interval = *job.interval;
     const auto make_checkpoint_fn = [&shard_cps, base_interval](
                                         size_t s, size_t num_shards) {
       if (shard_cps.empty()) shard_cps.resize(num_shards);
@@ -160,64 +166,62 @@ void PsrEngine::ScanFrom(const Db& db, size_t begin, size_t live_at_begin,
         ++local->since;
       };
     };
-    std::vector<PsrOutput*> active_outs(outs.begin() + first_active,
-                                        outs.end());
+    std::vector<PsrOutput*> active_outs(outs[0].begin() + first_active[0],
+                                        outs[0].end());
     sharded = psr_internal::RunShardedLadderScan(
-        db, begin, live_at_begin, options, exec.pool.get(),
-        exec.min_tuples_per_shard, *core, active_outs, track_best,
+        *job.db, job.begin, job.live, options, exec.pool.get(),
+        exec.min_tuples_per_shard, *job.core, active_outs, track_best,
         make_checkpoint_fn);
     if (sharded) {
       for (ShardCheckpoints& local : shard_cps) {
-        for (Checkpoint& cp : local.cps) cps->push_back(std::move(cp));
-        *interval = std::max(*interval, local.interval);
+        for (Checkpoint& cp : local.cps) job.cps->push_back(std::move(cp));
+        *job.interval = std::max(*job.interval, local.interval);
       }
-      while (cps->size() > kMaxCheckpoints) ThinCheckpoints(cps, interval);
+      while (job.cps->size() > kMaxCheckpoints) {
+        ThinCheckpoints(job.cps, job.interval);
+      }
     }
   }
   if (!sharded) {
-    size_t since_checkpoint = 0;
-    psr_internal::RunLadderScan(
-        db, begin, live_at_begin, options.early_termination, *core, outs,
-        first_active, track_best,
-        [core, cps, interval, &since_checkpoint](size_t i, size_t live) {
-          if (since_checkpoint >= *interval) {
-            SnapshotInto(*core, i, live, cps, interval);
-            since_checkpoint = 0;
-          }
-          ++since_checkpoint;
-        });
+    using Lane = psr_internal::ScanLane<Db, CadenceCheckpoints>;
+    std::vector<Lane> lanes;
+    lanes.reserve(n);
+    for (size_t l = 0; l < n; ++l) {
+      const ScanJob<Db>& job = jobs[l];
+      lanes.emplace_back(*job.db, job.begin, job.db->num_tuples(), job.live,
+                         /*emit_base=*/0, options.early_termination,
+                         *job.core, outs[l], first_active[l], track_best,
+                         CadenceCheckpoints{job.core, job.cps, job.interval});
+    }
+    psr_internal::RunLadderScanLanes(lanes.data(), n);
   }
-  FinalizeAggregates(db, begin, begin == 0, exec, outputs);
+  for (size_t l = 0; l < n; ++l) {
+    FinalizeAggregates(*jobs[l].db, first_active[l], track_best, exec,
+                       jobs[l].outputs);
+  }
 }
 
 template <typename Db>
-void PsrEngine::FinalizeAggregates(const Db& db, size_t begin,
-                                   bool from_rank_0, const ExecOptions& exec,
+void PsrEngine::FinalizeAggregates(const Db& db, size_t first_active,
+                                   bool tracked, const ExecOptions& exec,
                                    std::vector<PsrOutput>* outputs) {
   // Each rung's recount/argmax rebuild touches only that rung's output,
-  // so the per-rung work fans over the pool verbatim.
-  ExecParallelFor(exec, outputs->size(), [&](size_t j) {
-    PsrOutput& out = (*outputs)[j];
-    // Untouched rungs (stopped at or before the replay boundary) keep
-    // every aggregate; recounting them would be wasted work.
-    if (!from_rank_0 && out.scan_end <= begin) return;
+  // so the per-rung work fans over the pool verbatim. Rungs below
+  // `first_active` did not re-emit and keep every aggregate.
+  const size_t rungs = outputs->size() - first_active;
+  ExecParallelFor(exec, rungs, [&](size_t r) {
+    PsrOutput& out = (*outputs)[first_active + r];
     out.num_nonzero = 0;
     for (size_t i = 0; i < out.scan_end; ++i) {  // zero past the stop point
       if (out.topk_prob[i] > 0.0) ++out.num_nonzero;
     }
-    const size_t k = out.k;
-    if (!out.has_rank_probabilities) {
-      if (!from_rank_0) {
-        // Tracked argmaxes are stale and the matrix is off: reset to the
-        // empty answer rather than serve wrong ones (see header).
-        std::fill(out.best_rank_prob.begin(), out.best_rank_prob.end(), 0.0);
-        std::fill(out.best_rank_index.begin(), out.best_rank_index.end(), -1);
-      }
-      return;
-    }
-    if (from_rank_0) return;  // running argmaxes are exact for full scans
+    if (tracked) return;  // running argmaxes are exact for full scans
+    // Untracked scan: rebuild the argmaxes from the matrix when it is
+    // stored, reset them to the empty answer otherwise (see header).
     std::fill(out.best_rank_prob.begin(), out.best_rank_prob.end(), 0.0);
     std::fill(out.best_rank_index.begin(), out.best_rank_index.end(), -1);
+    if (!out.has_rank_probabilities) return;
+    const size_t k = out.k;
     for (size_t i = 0; i < out.scan_end; ++i) {
       const Tuple& t = db.tuple(i);
       if (t.is_null || db.is_tombstone(i)) continue;
@@ -266,20 +270,24 @@ PsrEngine::SessionState PsrEngine::ForkSession() const {
   return state;
 }
 
-Status PsrEngine::ReplaySession(const DatabaseOverlay& db,
-                                size_t first_changed_rank,
-                                SessionState* state) const {
+Status PsrEngine::PrepareReplay(const SessionReplay& replay,
+                                ScanJob<DatabaseOverlay>* job) const {
+  job->db = nullptr;
   if (outputs_.empty() || checkpoints_.empty()) {
     return Status::FailedPrecondition("PsrEngine was not initialized");
   }
-  if (state == nullptr || state->outputs_.size() != outputs_.size()) {
+  SessionState* state = replay.state;
+  if (replay.db == nullptr || state == nullptr ||
+      state->outputs_.size() != outputs_.size()) {
     return Status::FailedPrecondition(
         "session state was not forked from this engine");
   }
+  const DatabaseOverlay& db = *replay.db;
   if (state->outputs_.front().topk_prob.size() != db.num_tuples()) {
     return Status::FailedPrecondition(
         "session state does not match the overlay's base database");
   }
+  const size_t first_changed_rank = replay.first_changed_rank;
   if (first_changed_rank >= db.num_tuples()) return Status::OK();  // no-op
   // The overlay is the single source of truth for how shallow the
   // session's changes reach: every recorded outcome is reflected there,
@@ -313,12 +321,41 @@ Status PsrEngine::ReplaySession(const DatabaseOverlay& db,
   }
   UCLEAN_CHECK(restore != nullptr);
 
-  const size_t replay_begin = restore->pos;
   RestoreInto(db, *restore, &state->core_);
-  ScanFrom(db, replay_begin, restore->live, options_, exec_, &state->core_,
-           &state->outputs_, &state->checkpoints_,
-           &state->checkpoint_interval_);
+  *job = {&db,
+          restore->pos,
+          restore->live,
+          &state->core_,
+          &state->outputs_,
+          &state->checkpoints_,
+          &state->checkpoint_interval_};
   return Status::OK();
+}
+
+Status PsrEngine::ReplaySession(const DatabaseOverlay& db,
+                                size_t first_changed_rank,
+                                SessionState* state) const {
+  return ReplaySessions({{&db, first_changed_rank, state}}).front();
+}
+
+std::vector<Status> PsrEngine::ReplaySessions(
+    const std::vector<SessionReplay>& replays) const {
+  std::vector<Status> statuses(replays.size(), Status::OK());
+  std::vector<ScanJob<DatabaseOverlay>> jobs;
+  jobs.reserve(replays.size());
+  for (size_t i = 0; i < replays.size(); ++i) {
+    ScanJob<DatabaseOverlay> job;
+    statuses[i] = PrepareReplay(replays[i], &job);
+    if (statuses[i].ok() && job.db != nullptr) jobs.push_back(job);
+  }
+  // Replays never track argmaxes (FinalizeAggregates resets or rebuilds
+  // them), so every lane runs the untracked emission.
+  for (size_t at = 0; at < jobs.size(); at += psr_internal::kMaxScanLanes) {
+    const size_t n =
+        std::min(psr_internal::kMaxScanLanes, jobs.size() - at);
+    ScanFrom(jobs.data() + at, n, /*track_best=*/false, options_, exec_);
+  }
+  return statuses;
 }
 
 }  // namespace uclean

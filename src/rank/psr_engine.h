@@ -36,11 +36,14 @@
 //
 // Aggregate caveats after a replay:
 //  * num_nonzero and scan_end are always maintained, per rung.
-//  * best_rank_prob / best_rank_index are running argmaxes over the whole
-//    scan; after a replay they are recomputed from the stored rank matrix
-//    when PsrOptions::store_rank_probabilities is set, and reset to the
-//    empty answer (0 / -1) otherwise -- cleaning consumers (TP, planners)
-//    never read them, query serving should keep the matrix on.
+//  * best_rank_prob / best_rank_index are the U-kRanks argmaxes. Only
+//    Create's full scan tracks them as it goes. Every session replay --
+//    whatever checkpoint it restores, rank 0 included -- recomputes them
+//    for each rung it re-emits: from the stored rank matrix when
+//    PsrOptions::store_rank_probabilities is set, and reset to the empty
+//    answer (0 / -1) otherwise. Rungs a replay does not reach keep theirs
+//    (their outputs did not change). Cleaning consumers (TP, planners)
+//    never read them; query serving should keep the matrix on.
 //
 // Parallel execution: Create with ExecOptions{num_threads > 1} and every
 // scan the engine runs -- the initial full scan and ReplaySession
@@ -187,6 +190,25 @@ class PsrEngine {
   Status ReplaySession(const DatabaseOverlay& db, size_t first_changed_rank,
                        SessionState* state) const;
 
+  /// One session of a ReplaySessions call: the ReplaySession arguments.
+  struct SessionReplay {
+    const DatabaseOverlay* db = nullptr;
+    size_t first_changed_rank = 0;
+    SessionState* state = nullptr;
+  };
+
+  /// ReplaySession for several sessions at once, on the calling thread:
+  /// each replay is validated and restored exactly as ReplaySession does,
+  /// then the scans run in lane groups of up to psr_internal::
+  /// kMaxScanLanes (RunLadderScanLanes), whose divide-outs overlap. Each
+  /// session's result is bitwise what ReplaySession gives it; a group of
+  /// one keeps ReplaySession's sharded path. Returns one status per
+  /// replay, in order: a replay that fails validation leaves its state
+  /// untouched and the others still run. The replays must target
+  /// distinct states.
+  std::vector<Status> ReplaySessions(
+      const std::vector<SessionReplay>& replays) const;
+
   /// Checkpoint cadence: every `checkpoint_interval_` live tuples, thinned
   /// (drop every other one, double the interval) when the count exceeds
   /// kMaxCheckpoints so memory stays O(kMaxCheckpoints * m). The default
@@ -221,26 +243,71 @@ class PsrEngine {
   static void RestoreInto(const DatabaseOverlay& db, const Checkpoint& cp,
                           psr_internal::ScanCore* core);
 
-  /// Zeroes `outputs` from `begin` on and runs the scan loop over `db` to
-  /// its stop point, snapshotting into `cps` along the way -- sharded
-  /// over `exec`'s pool when the range justifies it, sequentially
-  /// otherwise. Rungs whose scan had already stopped at or before `begin`
-  /// are left untouched. `Db` is ProbabilisticDatabase (the initial scan)
+  /// One scan of a ScanFrom group: positions [begin, n) of `db` from the
+  /// state in `core` (`live` is begin's live-tuple ordinal), emitting into
+  /// `outputs` and snapshotting into `cps` at cadence `*interval`.
+  template <typename Db>
+  struct ScanJob {
+    const Db* db = nullptr;
+    size_t begin = 0;
+    size_t live = 0;
+    psr_internal::ScanCore* core = nullptr;
+    std::vector<PsrOutput>* outputs = nullptr;
+    std::vector<Checkpoint>* cps = nullptr;
+    size_t* interval = nullptr;
+  };
+
+  /// The sequential scan's checkpoint hook: snapshots `core` into `cps`
+  /// every `*interval` live tuples.
+  struct CadenceCheckpoints {
+    const psr_internal::ScanCore* core;
+    std::vector<Checkpoint>* cps;
+    size_t* interval;
+    size_t since = 0;
+
+    void operator()(size_t pos, size_t live) {
+      if (since >= *interval) {
+        SnapshotInto(*core, pos, live, cps, interval);
+        since = 0;
+      }
+      ++since;
+    }
+  };
+
+  /// Readies one scan from `begin`: zeroes `outputs` from `begin` on for
+  /// every rung that re-emits (rungs whose scan had already stopped at or
+  /// before `begin` are left untouched), clears their argmax trackers
+  /// when `track_best`, and restarts `cps` with the scan-start snapshot
+  /// when begin == 0. Returns the first re-emitting rung.
+  static size_t BeginScan(size_t begin, bool track_best,
+                          const psr_internal::ScanCore& core,
+                          std::vector<PsrOutput>* outputs,
+                          std::vector<Checkpoint>* cps, size_t* interval);
+
+  /// Runs the `n` (1..kMaxScanLanes) scans of `jobs` to their stop points
+  /// and finalizes their aggregates: one lane group on the calling thread,
+  /// or -- for a single scan -- sharded over `exec`'s pool when the range
+  /// justifies it. `track_best` keeps running U-kRanks argmaxes, which
+  /// are exact only for a scan of the whole range on fresh outputs: only
+  /// Create passes true. `Db` is ProbabilisticDatabase (the initial scan)
   /// or DatabaseOverlay (session replays); both run identical arithmetic.
   template <typename Db>
-  static void ScanFrom(const Db& db, size_t begin, size_t live_at_begin,
-                       const PsrOptions& options, const ExecOptions& exec,
-                       psr_internal::ScanCore* core,
-                       std::vector<PsrOutput>* outputs,
-                       std::vector<Checkpoint>* cps, size_t* interval);
+  static void ScanFrom(const ScanJob<Db>* jobs, size_t n, bool track_best,
+                       const PsrOptions& options, const ExecOptions& exec);
 
-  /// Recomputes num_nonzero and (from the matrix, when stored) the
-  /// per-rank argmaxes after a scan, for every rung that re-emitted; the
-  /// per-rung work fans over `exec`'s pool.
+  /// Recomputes num_nonzero of every rung from `first_active` on (the
+  /// rungs a scan re-emitted) and, unless the scan `tracked` them, their
+  /// per-rank argmaxes: rebuilt from the matrix when stored, reset to the
+  /// empty answer otherwise. The per-rung work fans over `exec`'s pool.
   template <typename Db>
-  static void FinalizeAggregates(const Db& db, size_t begin, bool from_rank_0,
-                                 const ExecOptions& exec,
+  static void FinalizeAggregates(const Db& db, size_t first_active,
+                                 bool tracked, const ExecOptions& exec,
                                  std::vector<PsrOutput>* outputs);
+
+  /// ReplaySession's validation and restore: on success `job` is the
+  /// session's suffix scan, or has a null db for a no-op replay.
+  Status PrepareReplay(const SessionReplay& replay,
+                       ScanJob<DatabaseOverlay>* job) const;
 
   ExecOptions exec_;
   PsrOptions options_;

@@ -101,6 +101,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -257,7 +259,7 @@ struct ScanCore {
         // Stable direction choice (see the file comment); both
         // directions are sequential recurrences and run the same scalar
         // code in every kernel.
-        if (ql <= 0.5) {
+        if (DivideForward(ql)) {
           kernel->divide_out_fwd(c_excl.data(), c.data(), top, ql);
         } else {
           kernel->divide_out_bwd(c_excl.data(), c.data(), top, ql);
@@ -268,6 +270,33 @@ struct ScanCore {
     }
     return ex;
   }
+
+  /// True when BuildExclusion(t) runs a divide-out (tau_l is active).
+  bool DividesOut(const Tuple& t) const {
+    return state[t.xtuple] == XTupleState::kActive;
+  }
+
+  /// BuildExclusion for a tuple that DividesOut, with the divide-out
+  /// handed to the caller: sizes the exclusion scratch and starts in
+  /// `*lane` the divide-out BuildExclusion would run. The returned view
+  /// is valid once the lane has run through the kernel's
+  /// divide_out_lanes.
+  Exclusion StartExclusion(const Tuple& t, DivideOutLane* lane) {
+    UCLEAN_DCHECK(DividesOut(t));
+    const double ql = q[t.xtuple];
+    const size_t top = active;
+    c_excl.resize(top);
+    *lane = StartDivideOutLane(c_excl.data(), c.data(), top, ql,
+                               DivideForward(ql));
+    Exclusion ex;
+    ex.others_shift = saturated;
+    ex.counts = &c_excl;
+    return ex;
+  }
+
+  /// The stable direction choice: forward while the error ratio
+  /// q/(1-q) is at most 1.
+  static bool DivideForward(double ql) { return ql <= 0.5; }
 
   /// Advances the state past `t`: tau_l's above-mass grows by t.prob. `ex`
   /// must be the exclusion view built for `t`.
@@ -405,54 +434,168 @@ void InitLadderOutputs(size_t num_tuples, const KLadder& ladder,
                        const PsrOptions& options,
                        std::vector<PsrOutput>* outputs);
 
-/// The scan loop shared by the one-shot drivers and the engine: runs
-/// positions [begin, n) of `db` through `core`, emitting into the ladder
-/// `outs` (ascending k; rungs before `first_active` are already stopped
-/// and keep their scan_end). `live_at_begin` is the live-tuple ordinal of
-/// position `begin` (0 for full scans; checkpoints record it for
-/// replays): the count vector refreshes at every live ordinal that is a
-/// multiple of kCountRefreshGridLive, BEFORE that position's stop checks,
-/// so every driver makes the same stop decisions from the same refreshed
-/// state. `maybe_checkpoint(i, live)` is invoked for every live position
-/// before it is processed -- the engine snapshots there, the one-shot
-/// drivers pass a no-op. On return `first_active` reflects the rungs
-/// still unstopped (scan_end == n).
+/// Most scans one lane group steps together (RunLadderScanLanes).
+constexpr size_t kMaxScanLanes = kMaxDivideOutLanes;
+
+/// One scan of a lane group: runs positions [pos, end) of `db` through
+/// `core`, emitting into the ladder `outs` (ascending k; rungs before
+/// `first_active` are already stopped and keep their scan_end) at index
+/// position - emit_base. `live` is the live-tuple ordinal of `pos` (0
+/// for full scans; checkpoints record it for replays): the count vector
+/// refreshes at every live ordinal that is a multiple of
+/// kCountRefreshGridLive, BEFORE that position's stop checks, so every
+/// driver makes the same stop decisions from the same refreshed state.
+/// A rung whose stop fires gets scan_end = that position; rungs still
+/// unstopped at `end` get scan_end = end. `checkpoint(i, live)` is
+/// invoked for every live position before it is processed -- the engine
+/// snapshots there, the one-shot drivers pass a no-op.
 ///
 /// `Db` is ProbabilisticDatabase or any type exposing its read interface
 /// (num_tuples / tuple / is_tombstone) -- per-session DatabaseOverlay
 /// views run the exact same arithmetic, which keeps pooled sessions
 /// bitwise identical to dedicated ones.
 template <typename Db, typename CheckpointFn>
+struct ScanLane {
+  ScanLane(const Db& db, size_t begin, size_t end, size_t live_at_begin,
+           size_t emit_base, bool early_termination, ScanCore& core,
+           const std::vector<PsrOutput*>& outs, size_t first_active,
+           bool track_best, CheckpointFn checkpoint)
+      : db(&db),
+        pos(begin),
+        end(end),
+        live(live_at_begin),
+        emit_base(emit_base),
+        early_termination(early_termination),
+        core(&core),
+        outs(&outs),
+        first_active(first_active),
+        track_best(track_best),
+        checkpoint(std::move(checkpoint)) {}
+
+  /// Solo phase, before the divide-out: walks from `pos` to the next
+  /// position to process -- tombstone skip, grid refresh, Lemma-2 stop
+  /// checks, the checkpoint callback. False when the scan is over (every
+  /// rung stopped, or `end` reached); scan_end is final then.
+  bool Seek() {
+    const size_t rungs = outs->size();
+    for (; pos < end; ++pos) {
+      const bool is_live = !db->is_tombstone(pos);
+      if (is_live && live % kCountRefreshGridLive == 0) core->RebuildCounts();
+      if (early_termination) {
+        // The stop rule fires smallest-k first (head mass grows with k).
+        while (first_active < rungs &&
+               core->ShouldStop((*outs)[first_active]->k)) {
+          (*outs)[first_active]->scan_end = pos;
+          ++first_active;
+        }
+        if (first_active == rungs) return false;
+      }
+      if (!is_live) continue;  // cleaning-session garbage slot
+      checkpoint(pos, live);
+      return true;
+    }
+    for (size_t j = first_active; j < rungs; ++j) (*outs)[j]->scan_end = end;
+    return false;
+  }
+
+  /// The tuple at `pos` (valid after Seek returned true).
+  const Tuple& tuple() const { return db->tuple(pos); }
+
+  /// Solo phase, after the divide-out: emits the tuple at `pos` from the
+  /// exclusion view `ex` and advances the state past it.
+  void EmitAndAdvance() {
+    const Tuple& t = tuple();
+    EmitLadder(t, pos - emit_base, *core, ex, *outs, first_active,
+               track_best);
+    core->Advance(t, ex);
+    ++live;
+    ++pos;
+  }
+
+  const Db* db;
+  size_t pos;
+  size_t end;
+  size_t live;
+  size_t emit_base;
+  bool early_termination;
+  ScanCore* core;
+  const std::vector<PsrOutput*>* outs;
+  size_t first_active;
+  bool track_best;
+  CheckpointFn checkpoint;
+  ScanCore::Exclusion ex;  // the current position's view (step scratch)
+  bool done = false;
+};
+
+/// The lane driver, the one scan loop of the library: steps up to
+/// kMaxScanLanes independent scans (distinct cores and outputs) together,
+/// each at its own position. Every step has three phases:
+///  1. solo, per lane: Seek to the lane's next position (a lane whose
+///     scan is over leaves the group), then the exclusion view -- built
+///     in place when tau_l is inactive or saturated;
+///  2. fused: the divide-outs of the lanes whose tau_l is active, run
+///     through ONE divide_out_lanes call so their loop-carried chains
+///     overlap (a lone divide-out runs its solo kernel op);
+///  3. solo, per lane: EmitLadder and Advance.
+/// Each lane performs exactly the operation sequence it would alone, in
+/// the same order, so a lane's results are bitwise those of a one-lane
+/// group -- and a single scan is simply a one-lane group.
+template <typename Lane>
+void RunLadderScanLanes(Lane* lanes, size_t n) {
+  UCLEAN_CHECK(n <= kMaxScanLanes);
+  size_t running = n;
+  for (size_t l = 0; l < n; ++l) lanes[l].done = false;
+  while (running > 0) {
+    Lane* dividing[kMaxScanLanes];
+    size_t num_dividing = 0;
+    for (size_t l = 0; l < n; ++l) {
+      Lane& lane = lanes[l];
+      if (lane.done) continue;
+      if (!lane.Seek()) {
+        lane.done = true;
+        --running;
+        continue;
+      }
+      const Tuple& t = lane.tuple();
+      if (lane.core->DividesOut(t)) {
+        dividing[num_dividing++] = &lane;
+      } else {
+        lane.ex = lane.core->BuildExclusion(t);
+      }
+    }
+    if (num_dividing == 1) {
+      Lane& lane = *dividing[0];
+      lane.ex = lane.core->BuildExclusion(lane.tuple());
+    } else if (num_dividing > 1) {
+      DivideOutLane divides[kMaxScanLanes];
+      for (size_t d = 0; d < num_dividing; ++d) {
+        Lane& lane = *dividing[d];
+        lane.ex = lane.core->StartExclusion(lane.tuple(), &divides[d]);
+      }
+      // Every kernel shares the one scalar divide_out_lanes.
+      dividing[0]->core->kernel->divide_out_lanes(divides, num_dividing);
+    }
+    for (size_t l = 0; l < n; ++l) {
+      if (!lanes[l].done) lanes[l].EmitAndAdvance();
+    }
+  }
+}
+
+/// A single scan: the one-lane group over positions [begin, n) of `db`
+/// (ScanLane documents the arguments). On return `first_active` reflects
+/// the rungs still unstopped (scan_end == n).
+template <typename Db, typename CheckpointFn>
 inline void RunLadderScan(const Db& db, size_t begin, size_t live_at_begin,
                           bool early_termination, ScanCore& core,
                           const std::vector<PsrOutput*>& outs,
                           size_t& first_active, bool track_best,
                           CheckpointFn&& maybe_checkpoint) {
-  const size_t n = db.num_tuples();
-  const size_t rungs = outs.size();
-  size_t live = live_at_begin;
-  size_t i = begin;
-  for (; i < n; ++i) {
-    const bool is_live = !db.is_tombstone(i);
-    if (is_live && live % kCountRefreshGridLive == 0) core.RebuildCounts();
-    if (early_termination) {
-      // The stop rule fires smallest-k first (head mass grows with k).
-      while (first_active < rungs &&
-             core.ShouldStop(outs[first_active]->k)) {
-        outs[first_active]->scan_end = i;
-        ++first_active;
-      }
-      if (first_active == rungs) return;
-    }
-    if (!is_live) continue;  // cleaning-session garbage slot
-    maybe_checkpoint(i, live);
-    const Tuple& t = db.tuple(i);
-    const ScanCore::Exclusion ex = core.BuildExclusion(t);
-    EmitLadder(t, i, core, ex, outs, first_active, track_best);
-    core.Advance(t, ex);
-    ++live;
-  }
-  for (size_t j = first_active; j < rungs; ++j) outs[j]->scan_end = n;
+  ScanLane<Db, std::decay_t<CheckpointFn>> lane(
+      db, begin, db.num_tuples(), live_at_begin, /*emit_base=*/0,
+      early_termination, core, outs, first_active, track_best,
+      std::forward<CheckpointFn>(maybe_checkpoint));
+  RunLadderScanLanes(&lane, 1);
+  first_active = lane.first_active;
 }
 
 }  // namespace psr_internal

@@ -173,13 +173,12 @@ std::vector<GridPoint> PlanShardCuts(size_t begin, size_t live_at_begin,
                                      size_t min_tuples_per_shard);
 
 /// One shard's private scan results: compact per-rung outputs indexed by
-/// i - begin, plus the absolute rank where each rung's stop rule first
-/// fired in this range (end = never fired here).
+/// i - begin, whose scan_end is the absolute rank where the rung's stop
+/// rule first fired in this range (end = never fired here).
 struct ShardResult {
   size_t begin = 0;
   size_t end = 0;
   size_t live_at_begin = 0;
-  std::vector<size_t> stop_rank;
   std::vector<PsrOutput> rungs;
 };
 
@@ -205,46 +204,27 @@ inline void InitShardOutputs(const std::vector<PsrOutput*>& outs,
 /// Scans positions [result->begin, result->end) of `db` from `core` (the
 /// mass bookkeeping at begin; for every shard but the first the count
 /// vector is stale and reconstituted by the grid refresh at the first
-/// position, which IS a grid point by construction): the same
-/// per-position operation sequence as RunLadderScan, with emission
-/// indices shifted by -begin and stop ranks recorded instead of applied
-/// to scan_end. `maybe_checkpoint(core, i, live)` is invoked for every
-/// live position before it is processed.
+/// position, which IS a grid point by construction): a one-lane group
+/// of the sequential scan's lane driver, emitting at indices shifted by
+/// -begin into the shard's compact rungs (whose scan_end it sets; see
+/// ShardResult).
+/// `maybe_checkpoint(core, i, live)` is invoked for every live position
+/// before it is processed.
 template <typename Db, typename CheckpointFn>
 void ScanShard(const Db& db, const PsrOptions& options, ScanCore& core,
                bool track_best, ShardResult* result,
                CheckpointFn&& maybe_checkpoint) {
-  const size_t begin = result->begin;
-  const size_t end = result->end;
-  const size_t rungs = result->rungs.size();
   std::vector<PsrOutput*> outs;
-  outs.reserve(rungs);
+  outs.reserve(result->rungs.size());
   for (PsrOutput& out : result->rungs) outs.push_back(&out);
-  result->stop_rank.assign(rungs, end);
-  size_t first_active = 0;
-  size_t live = result->live_at_begin;
-  for (size_t i = begin; i < end; ++i) {
-    const bool is_live = !db.is_tombstone(i);
-    if (is_live && live % kCountRefreshGridLive == 0) core.RebuildCounts();
-    if (options.early_termination) {
-      // Same pop order as the sequential loop: the stop rule fires
-      // smallest-k first, so each rung's recorded rank is exactly the
-      // first position where its own stop condition holds.
-      while (first_active < rungs &&
-             core.ShouldStop(outs[first_active]->k)) {
-        result->stop_rank[first_active] = i;
-        ++first_active;
-      }
-      if (first_active == rungs) return;
-    }
-    if (!is_live) continue;
+  const auto checkpoint = [&core, &maybe_checkpoint](size_t i, size_t live) {
     maybe_checkpoint(core, i, live);
-    const Tuple& t = db.tuple(i);
-    const ScanCore::Exclusion ex = core.BuildExclusion(t);
-    EmitLadder(t, i - begin, core, ex, outs, first_active, track_best);
-    core.Advance(t, ex);
-    ++live;
-  }
+  };
+  ScanLane<Db, decltype(checkpoint)> lane(
+      db, result->begin, result->end, result->live_at_begin,
+      /*emit_base=*/result->begin, options.early_termination, core, outs,
+      /*first_active=*/0, track_best, checkpoint);
+  RunLadderScanLanes(&lane, 1);
 }
 
 /// The sharded counterpart of RunLadderScan over the ACTIVE rungs `outs`
@@ -315,8 +295,8 @@ bool RunShardedLadderScan(const Db& db, size_t begin, size_t live_at_begin,
     PsrOutput& out = *outs[j];
     size_t scan_end = n;
     for (const ShardResult& result : results) {
-      if (result.stop_rank[j] < result.end) {
-        scan_end = result.stop_rank[j];
+      if (result.rungs[j].scan_end < result.end) {
+        scan_end = result.rungs[j].scan_end;
         break;
       }
     }

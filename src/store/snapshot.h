@@ -395,6 +395,11 @@ class SnapshotAccess {
   static PsrOutput* MutableEngineOutput(SessionPool* pool, size_t rung);
   static TpOutput* MutableBaseTp(SessionPool* pool, size_t rung);
 
+  /// Drops the last rung of session `id`'s private scan state (the
+  /// session must have recorded an outcome), so its next replay fails
+  /// validation: tests drive RefreshAll's error contract with it.
+  static void DropSessionRung(SessionPool* pool, SessionPool::SessionId id);
+
  private:
   // Section payload codecs (writer half in snapshot_writer.cc, reader
   // half in snapshot_reader.cc). Friendship covers naming the granting

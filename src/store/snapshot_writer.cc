@@ -448,4 +448,11 @@ TpOutput* SnapshotAccess::MutableBaseTp(SessionPool* pool, size_t rung) {
   return &pool->base_tps_[rung];
 }
 
+void SnapshotAccess::DropSessionRung(SessionPool* pool,
+                                     SessionPool::SessionId id) {
+  std::vector<PsrOutput>& outputs = pool->sessions_[id].scan.outputs_;
+  UCLEAN_CHECK(!outputs.empty());
+  outputs.pop_back();
+}
+
 }  // namespace uclean

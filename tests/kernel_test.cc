@@ -21,6 +21,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -411,6 +412,13 @@ TEST(KernelDivideOut, AccuracyPinnedAgainstLongDoubleReference) {
   const ScanKernel& scalar = psr_internal::ScalarScanKernel();
   const double qs[] = {1e-9, 0.25, 0.5, std::nextafter(0.5, 1.0), 0.9,
                        1.0 - 1e-12};
+  struct Case {
+    std::string label;
+    double q;
+    std::vector<double> b;  // the vector the factor was folded into
+    std::vector<double> c;  // b with the factor q folded in
+  };
+  std::vector<Case> cases;
   Rng rng(20261017);
   for (const double q : qs) {
     std::vector<size_t> tops = {1, 2, 2000};
@@ -418,26 +426,118 @@ TEST(KernelDivideOut, AccuracyPinnedAgainstLongDoubleReference) {
       tops.push_back(static_cast<size_t>(rng.UniformInt(1, 2000)));
     }
     for (const size_t top : tops) {
-      const std::string label =
-          "q=" + std::to_string(q) + " top=" + std::to_string(top);
-      const std::vector<double> b = RandomCounts(top, &rng);
-      std::vector<double> c(top + 1);
-      scalar.fold_factor(c.data(), b.data(), top, q);
-      const std::vector<long double> ref = DivideOutReference(c, top, q);
-
-      std::vector<double> excl(top), by_division(top);
-      KernelDivideOut(scalar, excl.data(), c.data(), top, q);
-      DivideOutByDivision(by_division.data(), c.data(), top, q);
-      EXPECT_LE(BulkUlps(excl, ref), kDivideOutMaxBulkUlps) << label;
-      EXPECT_LE(BulkUlps(by_division, ref), kDivideOutMaxBulkUlps) << label;
-
-      // Divide-then-fold round trip: dividing the factor back out of a
-      // folded vector recovers the vector it was folded into.
-      const std::vector<long double> b_ref(b.begin(), b.end());
-      EXPECT_LE(BulkUlps(excl, b_ref), kRoundTripMaxBulkUlps) << label;
-      EXPECT_LE(BulkUlps(by_division, b_ref), kRoundTripMaxBulkUlps)
-          << label;
+      Case c{"q=" + std::to_string(q) + " top=" + std::to_string(top), q,
+             RandomCounts(top, &rng), std::vector<double>(top + 1)};
+      scalar.fold_factor(c.c.data(), c.b.data(), top, q);
+      cases.push_back(std::move(c));
     }
+  }
+  const auto expect_accurate = [](const Case& c,
+                                  const std::vector<double>& excl,
+                                  const std::string& form) {
+    const size_t top = c.b.size();
+    const std::vector<long double> ref = DivideOutReference(c.c, top, c.q);
+    EXPECT_LE(BulkUlps(excl, ref), kDivideOutMaxBulkUlps)
+        << form << " " << c.label;
+    // Divide-then-fold round trip: dividing the factor back out of a
+    // folded vector recovers the vector it was folded into.
+    const std::vector<long double> b_ref(c.b.begin(), c.b.end());
+    EXPECT_LE(BulkUlps(excl, b_ref), kRoundTripMaxBulkUlps)
+        << form << " " << c.label;
+  };
+  for (const Case& c : cases) {
+    const size_t top = c.b.size();
+    std::vector<double> excl(top), by_division(top);
+    KernelDivideOut(scalar, excl.data(), c.c.data(), top, c.q);
+    DivideOutByDivision(by_division.data(), c.c.data(), top, c.q);
+    expect_accurate(c, excl, "solo");
+    expect_accurate(c, by_division, "division");
+  }
+  // The same divide-outs as lanes of 3-wide groups: group g runs cases
+  // g, g + G and g + 2G, a third of the list apart, so every group mixes
+  // q's (and hence directions) and tops. Each lane meets the same bounds.
+  const size_t stride = (cases.size() + 2) / 3;
+  for (size_t g = 0; g < stride; ++g) {
+    std::vector<const Case*> group;
+    for (size_t at = g; at < cases.size(); at += stride) {
+      group.push_back(&cases[at]);
+    }
+    std::vector<std::vector<double>> excl(group.size());
+    psr_internal::DivideOutLane lanes[3];
+    for (size_t l = 0; l < group.size(); ++l) {
+      const Case& c = *group[l];
+      excl[l].resize(c.b.size());
+      lanes[l] = psr_internal::StartDivideOutLane(
+          excl[l].data(), c.c.data(), c.b.size(), c.q,
+          psr_internal::ScanCore::DivideForward(c.q));
+    }
+    scalar.divide_out_lanes(lanes, group.size());
+    for (size_t l = 0; l < group.size(); ++l) {
+      expect_accurate(*group[l], excl[l], "lane");
+    }
+  }
+}
+
+// ------------------------------------------------- fused divide-out lanes
+
+/// The kernels under test: the scalar table, plus the AVX2 one when this
+/// host runs it.
+std::vector<const ScanKernel*> KernelsUnderTest() {
+  std::vector<const ScanKernel*> kernels = {&psr_internal::ScalarScanKernel()};
+  if (Avx2Available()) kernels.push_back(psr_internal::Avx2ScanKernelOrNull());
+  return kernels;
+}
+
+TEST(KernelDivideOut, LanesBitwiseEqualSoloCalls) {
+  // Unequal tops, 1 and 2 included, so lanes leave the group at
+  // different steps (a top of 1 writes only its seed).
+  const size_t tops[] = {1, 2, 257, 40, 3, 1000, 64};
+  // Forward lanes take q <= 1/2 (1/2 exactly included), backward lanes
+  // q > 1/2 -- the scan core's direction choice -- plus 1/2 backward.
+  const double fwd_qs[] = {0.5, 0.125, 1e-9, 0.49};
+  const double bwd_qs[] = {0.75, std::nextafter(0.5, 1.0), 1.0 - 1e-12, 0.5};
+  Rng rng(20261020);
+  size_t mixes = 0;
+  for (const ScanKernel* kernel : KernelsUnderTest()) {
+    for (size_t n = 2; n <= psr_internal::kMaxDivideOutLanes; ++n) {
+      for (unsigned mask = 0; mask < (1u << n); ++mask) {
+        const std::string label = std::string(kernel->name) +
+                                  " n=" + std::to_string(n) +
+                                  " mask=" + std::to_string(mask);
+        std::vector<std::vector<double>> c(n), solo(n), fused(n);
+        std::vector<double> q(n);
+        std::vector<bool> forward(n);
+        psr_internal::DivideOutLane lanes[psr_internal::kMaxDivideOutLanes];
+        for (size_t l = 0; l < n; ++l) {
+          const size_t top = tops[(mask + 3 * l) % std::size(tops)];
+          forward[l] = ((mask >> l) & 1u) == 0;
+          q[l] = forward[l] ? fwd_qs[(mask + l) % std::size(fwd_qs)]
+                            : bwd_qs[(mask + l) % std::size(bwd_qs)];
+          c[l] = RandomCounts(top + 1, &rng);
+          solo[l].assign(top, -1.0);
+          fused[l].assign(top, -2.0);
+          if (forward[l]) {
+            kernel->divide_out_fwd(solo[l].data(), c[l].data(), top, q[l]);
+          } else {
+            kernel->divide_out_bwd(solo[l].data(), c[l].data(), top, q[l]);
+          }
+          lanes[l] = psr_internal::StartDivideOutLane(
+              fused[l].data(), c[l].data(), top, q[l], forward[l]);
+        }
+        kernel->divide_out_lanes(lanes, n);
+        for (size_t l = 0; l < n; ++l) {
+          ExpectBitwiseEqual(solo[l], fused[l],
+                             label + " lane " + std::to_string(l));
+        }
+        ++mixes;
+      }
+    }
+  }
+  EXPECT_GE(mixes, 4u + 8u + 16u);
+  // Both tables share the one scalar lanes op, as they share the pair.
+  if (Avx2Available()) {
+    EXPECT_EQ(psr_internal::ScalarScanKernel().divide_out_lanes,
+              psr_internal::Avx2ScanKernelOrNull()->divide_out_lanes);
   }
 }
 

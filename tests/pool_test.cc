@@ -24,7 +24,9 @@
 #include "model/database_overlay.h"
 #include "quality/tp.h"
 #include "rank/psr.h"
+#include "rank/kernel.h"
 #include "rank/psr_engine.h"
+#include "rank/psr_scan_core.h"
 #include "store/snapshot.h"
 #include "tests/test_util.h"
 #include "workload/synthetic.h"
@@ -502,6 +504,204 @@ TEST(SessionPoolCheckpoints, EveryRestorePointMatchesOverlayScan) {
       ++private_restores;
     }
     EXPECT_GE(private_restores + 2, own.size()) << label;
+  }
+}
+
+// ------------------------------------------------------ lane groups
+//
+// RefreshAll replays its dirty sessions in lane groups
+// (PsrEngine::ReplaySessions): up to four sessions' scans step in
+// lockstep on one thread, their divide-outs fused into one kernel call.
+// Every lane must come out bitwise what a solo Refresh(id) gives it --
+// whatever restore point each lane starts from, wherever each one stops.
+
+/// 500 x-tuples x 10 bars with sub-unit masses: nothing saturates, and
+/// the deep rung scans past the 4096-live count-refresh grid point.
+ProbabilisticDatabase MakeLaneTestDb() {
+  SyntheticOptions synthetic;
+  synthetic.num_xtuples = 500;
+  synthetic.tuples_per_xtuple = 10;
+  synthetic.real_mass_min = 0.2;
+  synthetic.real_mass_max = 0.5;
+  synthetic.seed = 1620;
+  Result<ProbabilisticDatabase> db = GenerateSynthetic(synthetic);
+  UCLEAN_CHECK(db.ok());
+  return std::move(db).value();
+}
+
+/// Resolves the x-tuple whose best member ranks in [begin, end) to that
+/// member in session `id` of every pool; false when none qualifies.
+bool ApplyFirstChangingIn(const std::vector<SessionPool*>& pools,
+                          SessionPool::SessionId id, size_t begin, size_t end,
+                          XTupleId* applied = nullptr) {
+  std::pair<XTupleId, TupleId> outcome;
+  if (!FindCleanFirstChangingIn(pools.front()->base(), begin, end, &outcome)) {
+    return false;
+  }
+  for (SessionPool* pool : pools) {
+    EXPECT_TRUE(
+        pool->ApplyCleanOutcome(id, outcome.first, outcome.second).ok());
+  }
+  if (applied != nullptr) *applied = outcome.first;
+  return true;
+}
+
+void ExpectSessionsBitwiseEqual(const SessionPool& a, const SessionPool& b,
+                                SessionPool::SessionId id,
+                                const std::string& label) {
+  for (size_t rung = 0; rung < a.num_rungs(); ++rung) {
+    const std::string at = label + " rung " + std::to_string(rung);
+    const PsrOutput& got = a.psr(id, rung);
+    const PsrOutput& want = b.psr(id, rung);
+    ExpectPsrBitwiseEq(got, want, at);
+    EXPECT_TRUE(got.best_rank_prob == want.best_rank_prob) << at;
+    EXPECT_TRUE(got.best_rank_index == want.best_rank_index) << at;
+    ExpectTpBitwiseEq(a.tp(id, rung), b.tp(id, rung), at);
+  }
+}
+
+TEST(SessionPoolLanes, RefreshAllEqualsSoloRefreshesAndOverlayScans) {
+  const ProbabilisticDatabase db = MakeLaneTestDb();
+  const KLadder ladder = MakeLadder({8, 100});
+  std::vector<KernelKind> kernels = {KernelKind::kScalar};
+  if (Avx2Supported()) kernels.push_back(KernelKind::kAvx2);
+  for (const KernelKind kernel : kernels) {
+    // Threads 1: one lane group of four on the caller. Threads 2: two
+    // groups of two on the pool. Threads 4: a session per thread.
+    for (const size_t threads : {1u, 2u, 4u}) {
+      const std::string config = std::string(KernelKindName(kernel)) +
+                                 " threads=" + std::to_string(threads);
+      SessionPool::Options options;
+      options.exec.kernel = kernel;
+      options.exec.num_threads = threads;
+      Result<SessionPool> lanes =
+          SessionPool::Create(ProbabilisticDatabase(db), ladder, options);
+      Result<SessionPool> solo =
+          SessionPool::Create(ProbabilisticDatabase(db), ladder, options);
+      ASSERT_TRUE(lanes.ok()) << lanes.status();
+      ASSERT_TRUE(solo.ok()) << solo.status();
+      const std::vector<SessionPool*> both = {&*lanes, &*solo};
+      const size_t n = db.num_tuples();
+      const size_t grid = psr_internal::kCountRefreshGridLive;
+      ASSERT_GT(lanes->base_psr(1).scan_end, grid) << config;
+      const std::vector<size_t> shared =
+          SnapshotAccess::EngineCheckpointPositions(*lanes);
+
+      constexpr size_t kSessions = 4;
+      std::vector<SessionPool::SessionId> ids;
+      for (size_t s = 0; s < kSessions; ++s) {
+        const SessionPool::SessionId a = lanes->OpenSession();
+        ASSERT_EQ(a, solo->OpenSession());
+        ids.push_back(a);
+      }
+      // Session 2 takes private checkpoints first: a clean in the first
+      // shared interval, refreshed.
+      XTupleId first = -1;
+      ASSERT_TRUE(ApplyFirstChangingIn(both, ids[2], 0, shared[1], &first));
+      ASSERT_TRUE(lanes->Refresh(ids[2]).ok());
+      ASSERT_TRUE(solo->Refresh(ids[2]).ok());
+      const std::vector<size_t> own =
+          SnapshotAccess::SessionCheckpointPositions(*lanes, ids[2]);
+      ASSERT_GT(own.size(), 8u) << config;
+
+      // Session 0 restores rank 0. Session 1 restores a shared checkpoint
+      // below the grid point and replays across it. Session 2 restores a
+      // private checkpoint. Session 3 resolves shallow x-tuples, which
+      // moves the shallow rung's stop earlier.
+      ASSERT_TRUE(ApplyFirstChangingIn(both, ids[0], 0, 1)) << config;
+      size_t mid = 0;
+      while (mid + 1 < shared.size() && shared[mid + 1] < grid / 2) ++mid;
+      ASSERT_GT(mid, 0u) << config;
+      ASSERT_TRUE(ApplyFirstChangingIn(both, ids[1], shared[mid], grid))
+          << config;
+      const size_t deep = own.size() / 2;
+      XTupleId second = -1;
+      ASSERT_TRUE(
+          ApplyFirstChangingIn(both, ids[2], own[deep], n, &second));
+      ASSERT_NE(second, first) << config;
+      const size_t shallow_end = lanes->base_psr(0).scan_end;
+      for (size_t step = 0; step < 4; ++step) {
+        ApplyFirstChangingIn(both, ids[3], step * shallow_end / 8,
+                             (step + 1) * shallow_end / 8);
+      }
+      for (size_t s = 0; s < kSessions; ++s) {
+        ASSERT_TRUE(lanes->dirty(ids[s])) << config;
+      }
+
+      ASSERT_TRUE(lanes->RefreshAll().ok()) << config;
+      for (const SessionPool::SessionId id : ids) {
+        ASSERT_TRUE(solo->Refresh(id).ok()) << config;
+      }
+      EXPECT_GT(lanes->psr(ids[1], 1).scan_end, grid) << config;
+      EXPECT_LT(lanes->psr(ids[3], 0).scan_end, shallow_end) << config;
+      for (size_t s = 0; s < kSessions; ++s) {
+        const std::string label = config + " session " + std::to_string(s);
+        EXPECT_FALSE(lanes->dirty(ids[s])) << label;
+        ExpectSessionsBitwiseEqual(*lanes, *solo, ids[s], label);
+        ExpectMatchesOverlayScan(*lanes, ids[s], {}, label);
+      }
+    }
+  }
+}
+
+TEST(SessionPoolLanes, FailedSessionStaysDirtyOthersRefresh) {
+  const ProbabilisticDatabase db = MakeLaneTestDb();
+  Result<SessionPool> pool =
+      SessionPool::Create(ProbabilisticDatabase(db), MakeLadder({8, 100}));
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  const std::vector<SessionPool*> one = {&*pool};
+  std::vector<SessionPool::SessionId> ids;
+  for (size_t s = 0; s < 3; ++s) {
+    ids.push_back(pool->OpenSession());
+    ASSERT_TRUE(ApplyFirstChangingIn(one, ids[s], 100 * s, db.num_tuples()));
+  }
+  SnapshotAccess::DropSessionRung(&*pool, ids[1]);
+
+  const Status status = pool->RefreshAll();
+  EXPECT_FALSE(status.ok());
+  EXPECT_TRUE(pool->dirty(ids[1]));
+  for (const size_t s : {0u, 2u}) {
+    EXPECT_FALSE(pool->dirty(ids[s])) << "session " << s;
+    ExpectMatchesOverlayScan(*pool, ids[s], {}, "session " + std::to_string(s));
+  }
+  // The error is the replay's validation failure, and it repeats.
+  EXPECT_EQ(pool->Refresh(ids[1]).code(), status.code());
+  EXPECT_TRUE(pool->dirty(ids[1]));
+}
+
+// ------------------------------------------------- U-kRanks trackers
+//
+// Only the engine's own full scan tracks the per-rank argmaxes. A session
+// replay -- even one that restores the rank-0 checkpoint and rescans
+// everything -- rebuilds them from the rank matrix when one is stored and
+// resets them to the empty answer otherwise.
+
+TEST(SessionPoolTrackers, RankZeroReplayRebuildsOrResetsTheArgmaxes) {
+  const ProbabilisticDatabase db = MakeLazyTestDb();
+  for (const bool matrix : {false, true}) {
+    SessionPool::Options options;
+    options.psr.store_rank_probabilities = matrix;
+    Result<SessionPool> pool =
+        SessionPool::Create(ProbabilisticDatabase(db), MakeLadder({2, 5}),
+                            options);
+    ASSERT_TRUE(pool.ok()) << pool.status();
+    const SessionPool::SessionId id = pool->OpenSession();
+    ASSERT_TRUE(ApplyFirstChangingIn({&*pool}, id, 0, 1));
+    ASSERT_TRUE(pool->Refresh(id).ok());
+    const std::string label = matrix ? "matrix" : "no matrix";
+    if (matrix) {
+      ExpectMatchesOverlayScan(*pool, id, options.psr, label);
+      continue;
+    }
+    for (size_t rung = 0; rung < pool->num_rungs(); ++rung) {
+      const PsrOutput& out = pool->psr(id, rung);
+      // The base scan did find argmaxes; the replay must not keep any.
+      EXPECT_NE(pool->base_psr(rung).best_rank_index[0], -1) << label;
+      for (size_t h = 0; h < out.k; ++h) {
+        EXPECT_EQ(out.best_rank_prob[h], 0.0) << label << " rank " << h + 1;
+        EXPECT_EQ(out.best_rank_index[h], -1) << label << " rank " << h + 1;
+      }
+    }
   }
 }
 

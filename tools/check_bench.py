@@ -154,6 +154,12 @@ FAULTS_SERIES = {
 # workload; the floor only catches an order-of-magnitude collapse
 # (an accidental O(k) rescan per tuple), not runner noise.
 KERNEL_SCALAR_OVERHEAD_CEILING = 1.03
+# Lanes arm: three replays of the alternatives workload as one lane group
+# (fused divide-outs) vs back to back, single thread. Five local runs on
+# a 4-core AVX2 host gave 1.26, 1.29, 1.31, 1.43 and 1.52x (median
+# 1.31x); the floor sits about 20% under that median. Both arms must
+# leave bitwise-equal outputs (max_abs_diff 0.0, gated with the rest).
+KERNEL_LANES_SPEEDUP_FLOOR = 1.05
 KERNEL_AVX2_INDEPENDENT_FLOOR = 1.5
 KERNEL_AVX2_ALTERNATIVES_FLOOR = 0.95
 # [(min_cores, scalar independent tuples/sec floor), ...] first match.
@@ -231,6 +237,16 @@ def check_kernel(doc):
                 f"{KERNEL_AVX2_ALTERNATIVES_FLOOR}x on the divide-out-bound "
                 f"alternatives workload"
             )
+    lanes = doc["lanes_vs_back_to_back"]
+    print(
+        f"kernel alternatives_x3 lanes_vs_back_to_back: {lanes:.2f}x "
+        f"(floor {KERNEL_LANES_SPEEDUP_FLOOR})"
+    )
+    if lanes < KERNEL_LANES_SPEEDUP_FLOOR:
+        failures.append(
+            f"kernel: lane group {lanes:.2f}x < "
+            f"{KERNEL_LANES_SPEEDUP_FLOOR}x back-to-back replays"
+        )
     if not doc["bitwise_equal"]:
         failures.append("kernel: arms are not bitwise equal")
     tps_floor = next(
@@ -259,7 +275,9 @@ def check_kernel(doc):
                     f"at {cores} cores"
                 )
     required = {("independent", "reference"), ("independent", "scalar"),
-                ("alternatives", "scalar")}
+                ("alternatives", "scalar"),
+                ("alternatives_x3", "back_to_back"),
+                ("alternatives_x3", "lanes")}
     if avx2:
         required |= {("independent", "avx2"), ("alternatives", "avx2")}
     for key in required:
