@@ -30,7 +30,12 @@
 //    roundings -- bitwise-exact vectorization is provably impossible
 //    there. Both kernels therefore run the SAME scalar divide-out code
 //    (the AVX2 table points at the scalar functions), which keeps the
-//    contract exact instead of falling back to a tolerance gate.
+//    contract exact instead of falling back to a tolerance gate. What
+//    CAN overlap is several INDEPENDENT chains: `divide_out_lanes` runs
+//    the divide-outs of a scan lane group (rank/psr_scan_core.h) in one
+//    interleaved loop, each element with its solo op's exact mul, sub
+//    and clamp -- scalar, shared by both tables, bitwise equal to the
+//    solo calls by construction.
 //
 // Runtime dispatch: the AVX2 path is compiled into its own translation
 // unit (kernel_avx2.cc) with -mavx2 applied to that file only -- the

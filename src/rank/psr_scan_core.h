@@ -95,6 +95,14 @@
 // a strictly sequential scalar sum (re-associating it would change
 // roundings), and the per-rung matrix/argmax passes are element-wise
 // maps over the shared scratch.
+//
+// The one scan loop is a lane driver (RunLadderScanLanes): it steps up
+// to kMaxScanLanes independent cores, each at its own position. Seek,
+// grid refresh, stop checks, checkpoints, emission and Advance run per
+// lane (solo phases); only the divide-outs of the lanes whose x-tuple is
+// active are fused, into one divide_out_lanes call, so independent
+// sequential chains overlap on one thread. A single scan is a one-lane
+// group.
 
 #ifndef UCLEAN_RANK_PSR_SCAN_CORE_H_
 #define UCLEAN_RANK_PSR_SCAN_CORE_H_
