@@ -37,7 +37,6 @@
 #include "clean/pipeline.h"
 #include "clean/session_pool.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "model/database.h"
 #include "workload/cleaning_profile_gen.h"
 #include "workload/synthetic.h"

@@ -11,6 +11,8 @@
 #include <cstring>
 #include <utility>
 
+#include "common/check.h"
+
 namespace uclean {
 namespace psr_internal {
 
@@ -111,11 +113,7 @@ void StepDivideOutLanes(DivideOutLane* lanes, std::size_t m,
 }  // namespace
 
 void DivideOutLanesScalar(DivideOutLane* lanes, std::size_t n) {
-  if (n > kMaxDivideOutLanes) {
-    DivideOutLanesScalar(lanes, kMaxDivideOutLanes);
-    DivideOutLanesScalar(lanes + kMaxDivideOutLanes, n - kMaxDivideOutLanes);
-    return;
-  }
+  UCLEAN_CHECK(n <= kMaxDivideOutLanes);
   for (;;) {
     // Drop the finished lanes; the rest step together over the shortest
     // remaining length.

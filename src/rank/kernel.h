@@ -167,9 +167,9 @@ struct ScanKernel {
   void (*divide_out_bwd)(double* excl, const double* c, std::size_t top,
                          double q);
 
-  /// Runs `n` independent started divide-outs (StartDivideOutLane) to
-  /// completion, interleaved: one loop body steps every lane over their
-  /// common remaining length, so the lanes' loop-carried chains overlap
+  /// Runs `n` <= kMaxDivideOutLanes independent started divide-outs
+  /// (StartDivideOutLane) to completion, interleaved: one loop body
+  /// steps every lane over their common remaining length, so the lanes' loop-carried chains overlap
   /// instead of running back to back; lanes then drop out as they finish
   /// and the rest go on together. Each element sees exactly the ops of
   /// the solo call its lane started from, so every output is bitwise

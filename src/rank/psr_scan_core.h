@@ -552,7 +552,6 @@ template <typename Lane>
 void RunLadderScanLanes(Lane* lanes, size_t n) {
   UCLEAN_CHECK(n <= kMaxScanLanes);
   size_t running = n;
-  for (size_t l = 0; l < n; ++l) lanes[l].done = false;
   while (running > 0) {
     Lane* dividing[kMaxScanLanes];
     size_t num_dividing = 0;
